@@ -11,8 +11,8 @@
 // Phase 2 — scale (>100k links): a federation of independent Brite
 // regions merged into one topology, partitioned by connected
 // components (empty cut set). The partitioned streamed fit runs whole;
-// the monolithic fit is *infeasible* — solve_least_squares stages the
-// sparse system dense for the QR, equations x columns doubles — so its
+// the monolithic fit is *infeasible* — solve_least_squares factorizes
+// the sparse system in a dense equations x columns workspace — so its
 // memory demand is reported analytically instead of executed. Gated
 // cells: the link/cell structure and the dense-stage byte counts
 // (exact: pure functions of the seeds), plus the chunk-size bit
@@ -66,8 +66,8 @@ double vm_hwm_mb() {
 }
 
 /// Dense-stage bytes of one Independence solve: solve_least_squares
-/// stages the sparse system as an equations x columns double matrix
-/// for the QR. Equations = one per path plus the capped pair
+/// scatters the sparse system into an equations x columns double
+/// workspace for the QR. Equations = one per path plus the capped pair
 /// equations; columns = the potentially congested links the solver
 /// keeps unknowns for.
 double dense_stage_bytes(std::size_t paths, std::size_t columns,

@@ -4,6 +4,9 @@
 // only the time to reach it.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "ntom/corr/correlation.hpp"
 #include "ntom/sim/monitor.hpp"
 #include "ntom/sim/packet_sim.hpp"
@@ -19,6 +22,15 @@ struct fixture {
   ntom::bitvec potcong;
   ntom::subset_catalog catalog;
 };
+
+/// Micro assertion: abort loudly if a benchmarked property breaks — a
+/// benchmark that silently measures a wrong result is worthless.
+void micro_assert(bool ok, const char* what) {
+  if (!ok) {
+    std::fprintf(stderr, "micro assertion failed: %s\n", what);
+    std::abort();
+  }
+}
 
 fixture make_fixture(bool sparse) {
   fixture f;
@@ -59,6 +71,14 @@ void bm_select_unsorted(benchmark::State& state) {
   const fixture f = make_fixture(state.range(0) == 1);
   ntom::pathset_selection_params params;
   params.sort_by_hamming_weight = false;
+  // The ablation's premise: the order changes the search, not the rank.
+  const std::size_t unsorted_nullity =
+      ntom::select_path_sets(f.topo, f.catalog, f.potcong, params)
+          .null_space.cols();
+  const std::size_t sorted_nullity =
+      ntom::select_path_sets(f.topo, f.catalog, f.potcong).null_space.cols();
+  micro_assert(unsorted_nullity == sorted_nullity,
+               "sorted and unsorted selections reach different ranks");
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ntom::select_path_sets(f.topo, f.catalog, f.potcong, params));

@@ -1,7 +1,9 @@
-// Dense row-major double matrix — the numerical workhorse behind the
-// tomographic equation systems. We implement only what the algorithms
-// need (BLAS-1/2 style operations, transpose products), keeping the code
-// auditable rather than chasing peak FLOPs.
+// Dense row-major double matrix — the container for null-space bases,
+// QR factors and small dense systems. We implement only what the
+// algorithms need (BLAS-1/2 style operations, transpose products). The
+// one hot kernel, the Householder QR, does not run on this layout: it
+// factorizes in its own column-major workspace (linalg/qr.cpp), fed
+// directly from the CSR equation systems.
 #pragma once
 
 #include <cstddef>

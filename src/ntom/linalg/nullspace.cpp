@@ -61,8 +61,31 @@ bool row_increases_rank(const std::vector<double>& r, const matrix& n,
 
 bool row_increases_rank(const std::vector<std::size_t>& row_indices,
                         const matrix& n, double tol) {
-  if (n.cols() == 0) return false;
-  return row_nullspace_product(row_indices, n) > tol;
+  // Same per-column sums as column_products (one accumulator per
+  // column, rows added in `row_indices` order), four columns per pass
+  // and no allocation; stops at the first column past the tolerance.
+  const std::size_t p = n.cols();
+  std::size_t j = 0;
+  for (; j + 4 <= p; j += 4) {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (const std::size_t i : row_indices) {
+      const double* row = n.row_ptr(i) + j;
+      s0 += row[0];
+      s1 += row[1];
+      s2 += row[2];
+      s3 += row[3];
+    }
+    if (std::abs(s0) > tol || std::abs(s1) > tol || std::abs(s2) > tol ||
+        std::abs(s3) > tol) {
+      return true;
+    }
+  }
+  for (; j < p; ++j) {
+    double s = 0.0;
+    for (const std::size_t i : row_indices) s += n(i, j);
+    if (std::abs(s) > tol) return true;
+  }
+  return false;
 }
 
 matrix null_space_update(matrix n, const std::vector<double>& r, double tol) {
@@ -92,23 +115,31 @@ matrix apply_null_space_update(matrix n, std::vector<double> rn, double tol) {
   n.swap_columns(0, pivot);
   std::swap(rn[0], rn[pivot]);
 
-  // N' columns: N_j - N_1 * (r.N_j) / (r.N_1), for j = 2..p.
+  // N' columns: N_j - N_1 * (r.N_j) / (r.N_1), for j = 2..p. Every
+  // entry and every per-column norm sees the same operations as a
+  // column-by-column loop; walking N row by row keeps the access
+  // contiguous.
   matrix updated(rows, p - 1);
   const double inv = 1.0 / rn[0];
-  for (std::size_t j = 1; j < p; ++j) {
-    const double scale = rn[j] * inv;
-    for (std::size_t i = 0; i < rows; ++i) {
-      updated(i, j - 1) = n(i, j) - scale * n(i, 0);
-    }
+  std::vector<double> scale(p);
+  for (std::size_t j = 1; j < p; ++j) scale[j] = rn[j] * inv;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* src = n.row_ptr(i);
+    double* dst = updated.row_ptr(i);
+    for (std::size_t j = 1; j < p; ++j) dst[j - 1] = src[j] - scale[j] * src[0];
   }
 
   // Re-normalize columns to keep the basis well-scaled across many updates.
-  for (std::size_t j = 0; j < updated.cols(); ++j) {
-    double norm = 0.0;
-    for (std::size_t i = 0; i < rows; ++i) norm += updated(i, j) * updated(i, j);
-    norm = std::sqrt(norm);
-    if (norm > tol) {
-      for (std::size_t i = 0; i < rows; ++i) updated(i, j) /= norm;
+  std::vector<double> norm(p - 1, 0.0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* row = updated.row_ptr(i);
+    for (std::size_t j = 0; j + 1 < p; ++j) norm[j] += row[j] * row[j];
+  }
+  for (double& x : norm) x = std::sqrt(x);
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* row = updated.row_ptr(i);
+    for (std::size_t j = 0; j + 1 < p; ++j) {
+      if (norm[j] > tol) row[j] /= norm[j];
     }
   }
   return updated;

@@ -28,12 +28,13 @@ namespace ntom {
                                       const matrix& n, double tol = 1e-9);
 
 /// Sparse 0/1 row: ||r x N||_inf where r has ones exactly at
-/// `row_indices`. O(nnz * cols) — Algorithm 1 calls this per candidate
-/// path set, so the dense O(n1 * cols) form is off the hot path.
+/// `row_indices`. O(nnz * cols) instead of the dense O(n1 * cols).
 [[nodiscard]] double row_nullspace_product(
     const std::vector<std::size_t>& row_indices, const matrix& n);
 
-/// Sparse 0/1 row counterpart of row_increases_rank.
+/// Sparse 0/1 row counterpart of row_increases_rank — Algorithm 1's
+/// per-candidate test. Same answer as row_nullspace_product(...) > tol,
+/// without allocating, and it stops at the first column past `tol`.
 [[nodiscard]] bool row_increases_rank(
     const std::vector<std::size_t>& row_indices, const matrix& n,
     double tol = 1e-9);

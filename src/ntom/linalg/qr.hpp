@@ -4,12 +4,21 @@
 // numerical rank, an orthonormal null-space basis (the N matrix of
 // Algorithm 1), and least-squares / minimum-norm solves of the log-domain
 // equation systems.
+//
+// The factorization runs in one column-major m x n workspace, filled
+// from either a dense matrix or the CSR rows the equation builders emit
+// (no row-major dense image is staged for sparse input). Each reflector
+// is applied to four columns per pass with one accumulator per column
+// in ascending row order, and the build never contracts a*b+c into an
+// FMA (ISO C++ mode), so R, the pivot order, the rank and Q^T b are the
+// same bits whichever overload fed the workspace.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "ntom/linalg/matrix.hpp"
+#include "ntom/linalg/sparse.hpp"
 
 namespace ntom {
 
@@ -43,6 +52,12 @@ struct qr_decomposition {
                                                   std::vector<double>& rhs,
                                                   double rel_tol = 1e-10);
 
+/// Same factorization with the CSR rows scattered straight into the
+/// workspace; bit-identical to the dense overload on a.to_dense().
+[[nodiscard]] qr_decomposition qr_factorize_apply(const sparse_matrix& a,
+                                                  std::vector<double>& rhs,
+                                                  double rel_tol = 1e-10);
+
 /// Numerical rank of A (shorthand for qr_factorize(a).rank).
 [[nodiscard]] std::size_t matrix_rank(const matrix& a, double rel_tol = 1e-10);
 
@@ -50,6 +65,10 @@ struct qr_decomposition {
 /// whose columns satisfy A * col ~ 0. k = n - rank(A); k == 0 yields an
 /// n x 0 matrix.
 [[nodiscard]] matrix null_space_basis(const matrix& a, double rel_tol = 1e-10);
+
+/// CSR counterpart; bit-identical to null_space_basis(a.to_dense()).
+[[nodiscard]] matrix null_space_basis(const sparse_matrix& a,
+                                      double rel_tol = 1e-10);
 
 /// Same basis from an existing factorization of A (only R, perm, and
 /// rank are read — a Q-free factorization works). Lets one

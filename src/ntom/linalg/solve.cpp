@@ -22,8 +22,15 @@ std::vector<double> solve_upper_triangular(const matrix& r,
   return x;
 }
 
-lstsq_result solve_least_squares(const matrix& a, const std::vector<double>& b,
-                                 double rel_tol) {
+namespace {
+
+/// The minimum-norm solve, shared by the dense and CSR overloads: both
+/// feed the same column-major factorization, and the residual uses the
+/// input's own product (the CSR one skips the zero terms, which leaves
+/// every sum unchanged).
+template <typename Matrix>
+lstsq_result solve_impl(const Matrix& a, const std::vector<double>& b,
+                        double rel_tol) {
   assert(b.size() == a.rows());
   const std::size_t n = a.cols();
   lstsq_result out;
@@ -84,9 +91,16 @@ lstsq_result solve_least_squares(const matrix& a, const std::vector<double>& b,
   return out;
 }
 
+}  // namespace
+
+lstsq_result solve_least_squares(const matrix& a, const std::vector<double>& b,
+                                 double rel_tol) {
+  return solve_impl(a, b, rel_tol);
+}
+
 lstsq_result solve_least_squares(const sparse_matrix& a,
                                  const std::vector<double>& b, double rel_tol) {
-  return solve_least_squares(a.to_dense(), b, rel_tol);
+  return solve_impl(a, b, rel_tol);
 }
 
 }  // namespace ntom

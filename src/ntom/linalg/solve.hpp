@@ -31,9 +31,10 @@ struct lstsq_result {
                                                double rel_tol = 1e-10);
 
 /// Sparse-row entry point: the equation builders assemble CSR systems
-/// (one weighted 0/1 row per path set) and never materialize dense rows;
-/// the dense image is staged once here for the QR. Results are
-/// bit-identical to the dense overload on the same system.
+/// (one weighted 0/1 row per path set) and never materialize dense rows.
+/// The rows are scattered straight into the QR's column-major workspace
+/// and the residual uses the sparse product. Results are bit-identical
+/// to the dense overload on a.to_dense().
 [[nodiscard]] lstsq_result solve_least_squares(const sparse_matrix& a,
                                                const std::vector<double>& b,
                                                double rel_tol = 1e-10);

@@ -3,9 +3,9 @@
 // Eq. 1 rows are 0/1 indicators over the subset catalog scaled by a
 // per-equation weight, so a row is fully described by its ascending
 // column indices plus one value. Assembling systems in this form keeps
-// equation building O(nnz) per row instead of O(catalog.size()) — the
-// dense image is materialized exactly once, inside the solver, where
-// the QR factorization needs it anyway.
+// equation building O(nnz) per row instead of O(catalog.size()), and
+// the QR factorization scatters the rows straight into its
+// column-major workspace: no row-major dense image is ever built.
 #pragma once
 
 #include <cstddef>
@@ -56,7 +56,8 @@ class sparse_matrix {
   [[nodiscard]] std::vector<double> transpose_multiply(
       const std::vector<double>& y) const;
 
-  /// Dense image (rows() x cols()); the solver's staging step.
+  /// Dense image (rows() x cols()), for tests and benches that compare
+  /// the sparse and dense entry points; the solvers never build it.
   [[nodiscard]] matrix to_dense() const;
 
  private:

@@ -14,9 +14,17 @@ equation_builder::equation_builder(const topology& t,
 
 std::optional<std::vector<std::size_t>> equation_builder::row(
     const bitvec& path_set) const {
+  return row_of_links(congestible_links(path_set));
+}
+
+bitvec equation_builder::congestible_links(const bitvec& path_set) const {
   bitvec links = topo_->links_of_paths(path_set);
   links &= potcong_;
+  return links;
+}
 
+std::optional<std::vector<std::size_t>> equation_builder::row_of_links(
+    const bitvec& links) const {
   // Group the touched links by correlation set (= AS) in one pass: the
   // persistent per-AS slot table replaces the former per-link linear
   // scan over the groups seen so far (O(k^2) across k touched ASes).

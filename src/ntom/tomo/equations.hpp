@@ -34,6 +34,14 @@ class equation_builder {
   [[nodiscard]] std::optional<std::vector<std::size_t>> row(
       const bitvec& path_set) const;
 
+  /// Links(P) ∩ potcong: the only input of Row(P, Ê) that depends on
+  /// P, so path sets with equal link sets share one row.
+  [[nodiscard]] bitvec congestible_links(const bitvec& path_set) const;
+
+  /// row() for a link set as returned by congestible_links.
+  [[nodiscard]] std::optional<std::vector<std::size_t>> row_of_links(
+      const bitvec& links) const;
+
   /// Dense 0/1 vector of length catalog.size() for a sparse row.
   [[nodiscard]] std::vector<double> dense_row(
       const std::vector<std::size_t>& sparse) const;

@@ -30,11 +30,14 @@ namespace ntom {
 struct pathset_selection_params {
   /// Cap on the number of paths of Paths(E)\Paths(Ē) considered when
   /// enumerating subsets (the 2^n2 term of the complexity bound is
-  /// exponential; the cap bounds work per correlation subset).
+  /// exponential; the cap bounds work per correlation subset). Values
+  /// above 63 act as 63.
   std::size_t max_subset_paths = 14;
 
-  /// Cap on enumerated candidate path sets per correlation subset per
-  /// augmentation round.
+  /// Cap on enumerated candidate path sets per correlation subset: only
+  /// the first this-many masks of the subset's popcount-then-value walk
+  /// are ever tried. The walk resumes across augmentation rounds, so
+  /// the cap bounds the subset's work over the whole selection.
   std::size_t max_candidates_per_subset = 4096;
 
   /// Ablation knob: disable the SortByHammingWeight ordering (the
