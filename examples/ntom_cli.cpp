@@ -27,7 +27,8 @@
 //            truth-aware Fig. 3 metrics when the trace carries the
 //            ground-truth plane, observation-only scoring otherwise.
 //            --policy masks the replayed stream with a probe-budget
-//            planner (forces streamed mode; streaming estimators only).
+//            planner (forces streamed mode; counter-based estimators
+//            only — the Algorithm 1 fits reject masked chunks).
 //            --partition fits every estimator per partition cell
 //            (ntom/part) and merges the estimates at the cut links;
 //            MODE is components, bicomp, or auto (default none).

@@ -42,9 +42,10 @@
 //                               a probe policy ("uniform,frac=0.25",
 //                               "round_robin,frac=0.1", "info_gain,
 //                               frac=0.25,horizon=16"); forces streamed
-//                               execution and streaming-capable
-//                               estimators. --list=policies shows the
-//                               registered planners.
+//                               execution, and the Algorithm 1
+//                               estimators (bayes-corr, corr-complete)
+//                               reject masked streams. --list=policies
+//                               shows the registered planners.
 //
 // Partitioned hierarchical inference (ntom/part):
 //   --partition=MODE            decompose every run's topology into
@@ -254,8 +255,9 @@ int main(int argc, char** argv) {
   exp.with_sim(sim);
   exp.replicas(replicas);
 
-  // Streamed execution: replay the interval stream in chunks instead of
-  // materializing per-run observation stores (bit-identical results).
+  // Streamed execution: every pass re-simulates the interval stream in
+  // chunks instead of replaying a per-run materialized store
+  // (bit-identical results).
   const bool streamed = opts.get_bool("streamed", false);
   exp.with_streaming(
       {streamed,

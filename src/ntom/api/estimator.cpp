@@ -29,16 +29,9 @@ link_estimates estimator::links() const {
   throw std::logic_error("estimator does not support link estimation");
 }
 
-void estimator::begin_fit(const topology&, std::size_t) {
-  throw std::logic_error("estimator does not support streaming fits");
-}
-
-void estimator::consume(const measurement_chunk&) {
-  throw std::logic_error("estimator does not support streaming fits");
-}
-
-void estimator::end_fit() {
-  throw std::logic_error("estimator does not support streaming fits");
+void estimator::fit(const topology& t, const experiment_data& data) {
+  estimator_fit_sink sink(*this);
+  replay_experiment(t, data, sink);
 }
 
 void estimator::begin_window(const topology&) {
@@ -58,17 +51,14 @@ namespace {
 // ------------------------------------------------------------ adapters
 
 /// Sparsity has no fitting step: each interval is solved greedily from
-/// its own observation — trivially streaming.
+/// its own observation — the protocol only records the topology.
 class sparsity_estimator final : public estimator {
  public:
   [[nodiscard]] estimator_caps caps() const noexcept override {
     return {.boolean_inference = true,
             .link_estimation = false,
-            .streaming = true,
             .windowed = true};
   }
-
-  void fit(const topology& t, const experiment_data&) override { topo_ = &t; }
 
   void begin_fit(const topology& t, std::size_t) override { topo_ = &t; }
   void consume(const measurement_chunk&) override {}
@@ -93,7 +83,7 @@ class sparsity_estimator final : public estimator {
   const topology* topo_ = nullptr;
 };
 
-/// Shared streaming-fit scaffolding for the counter-based fits: the
+/// Shared fit scaffolding for the counter-based fits: the
 /// topology-determined equation family is registered with a
 /// pathset_counter at begin_fit, chunks stream into the counters, and
 /// end_fit hands the exact counts to the subclass's solver.
@@ -142,9 +132,9 @@ class counting_estimator : public estimator {
   [[nodiscard]] virtual std::vector<bitvec> equation_path_sets(
       const topology& t) const = 0;
 
-  /// Finish the fit from exact counters (same solver the materialized
-  /// fit uses — bit-identical outputs). `observed` holds the per-set
-  /// denominators: equal to the stream length everywhere on unmasked
+  /// Finish the fit from exact counters (the solver the free compute_*
+  /// functions use — bit-identical outputs). `observed` holds the
+  /// per-set denominators: equal to the stream length everywhere on unmasked
   /// streams, and the fully-observed interval count per set under a
   /// probe-budget mask.
   virtual void solve_from_counts(const topology& t,
@@ -158,6 +148,46 @@ class counting_estimator : public estimator {
   std::optional<pathset_counter> counter_;
 };
 
+/// Shared fit scaffolding for the Algorithm 1 fits: the equation
+/// family is chosen adaptively from the whole experiment, so chunks
+/// accumulate into the path-major good-interval plane (P x T bits) and
+/// end_fit hands it to the subclass's selection + solve. The counts
+/// are integers, so the fit is bit-identical to the free functions on
+/// the materialized store.
+class observation_estimator : public estimator {
+ public:
+  void begin_fit(const topology& t, std::size_t intervals) override {
+    topo_ = &t;
+    observations_.emplace();
+    observations_->begin(t, intervals);
+  }
+
+  void consume(const measurement_chunk& chunk) override {
+    if (!chunk.fully_observed()) {
+      throw spec_error(
+          "masked measurement streams require counter-based estimators: "
+          "Algorithm 1 (bayes-corr, corr-complete) selects its equations "
+          "from the full observation plane, which has no observed-path "
+          "mask");
+    }
+    observations_->consume(chunk);
+  }
+
+  void end_fit() override {
+    observations_->end();
+    solve_from_observations(*topo_, *observations_);
+    observations_.reset();
+  }
+
+ protected:
+  virtual void solve_from_observations(const topology& t,
+                                       const path_observations& obs) = 0;
+
+ private:
+  const topology* topo_ = nullptr;
+  std::optional<path_observations> observations_;
+};
+
 class bayes_independence_estimator final : public counting_estimator {
  public:
   explicit bayes_independence_estimator(independence_params params)
@@ -166,12 +196,7 @@ class bayes_independence_estimator final : public counting_estimator {
   [[nodiscard]] estimator_caps caps() const noexcept override {
     return {.boolean_inference = true,
             .link_estimation = true,
-            .streaming = true,
             .windowed = true};
-  }
-
-  void fit(const topology& t, const experiment_data& data) override {
-    fitted_.emplace(t, data, params_);
   }
 
   [[nodiscard]] bitvec infer(const bitvec& congested_paths) const override {
@@ -207,17 +232,13 @@ class bayes_independence_estimator final : public counting_estimator {
   std::optional<bayes_independence_inferencer> fitted_;
 };
 
-class bayes_correlation_estimator final : public estimator {
+class bayes_correlation_estimator final : public observation_estimator {
  public:
   explicit bayes_correlation_estimator(correlation_complete_params params)
       : params_(params) {}
 
   [[nodiscard]] estimator_caps caps() const noexcept override {
     return {.boolean_inference = true, .link_estimation = true};
-  }
-
-  void fit(const topology& t, const experiment_data& data) override {
-    fitted_.emplace(t, data, params_);
   }
 
   [[nodiscard]] bitvec infer(const bitvec& congested_paths) const override {
@@ -233,6 +254,12 @@ class bayes_correlation_estimator final : public estimator {
     return fitted_->step1().estimates.to_link_estimates();
   }
 
+ protected:
+  void solve_from_observations(const topology& t,
+                               const path_observations& obs) override {
+    fitted_.emplace(t, compute_correlation_complete(t, obs, params_));
+  }
+
  private:
   correlation_complete_params params_;
   std::optional<bayes_correlation_inferencer> fitted_;
@@ -246,12 +273,7 @@ class independence_estimator final : public counting_estimator {
   [[nodiscard]] estimator_caps caps() const noexcept override {
     return {.boolean_inference = false,
             .link_estimation = true,
-            .streaming = true,
             .windowed = true};
-  }
-
-  void fit(const topology& t, const experiment_data& data) override {
-    result_ = compute_independence(t, data, params_);
   }
 
   [[nodiscard]] link_estimates links() const override { return result_.links; }
@@ -283,12 +305,7 @@ class correlation_heuristic_estimator final : public counting_estimator {
   [[nodiscard]] estimator_caps caps() const noexcept override {
     return {.boolean_inference = false,
             .link_estimation = true,
-            .streaming = true,
             .windowed = true};
-  }
-
-  void fit(const topology& t, const experiment_data& data) override {
-    result_.emplace(compute_correlation_heuristic(t, data, params_));
   }
 
   [[nodiscard]] link_estimates links() const override {
@@ -314,7 +331,7 @@ class correlation_heuristic_estimator final : public counting_estimator {
   std::optional<correlation_heuristic_result> result_;
 };
 
-class correlation_complete_estimator final : public estimator {
+class correlation_complete_estimator final : public observation_estimator {
  public:
   explicit correlation_complete_estimator(correlation_complete_params params)
       : params_(params) {}
@@ -323,12 +340,14 @@ class correlation_complete_estimator final : public estimator {
     return {.boolean_inference = false, .link_estimation = true};
   }
 
-  void fit(const topology& t, const experiment_data& data) override {
-    result_.emplace(compute_correlation_complete(t, data, params_));
-  }
-
   [[nodiscard]] link_estimates links() const override {
     return result_->estimates.to_link_estimates();
+  }
+
+ protected:
+  void solve_from_observations(const topology& t,
+                               const path_observations& obs) override {
+    result_.emplace(compute_correlation_complete(t, obs, params_));
   }
 
  private:

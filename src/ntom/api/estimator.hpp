@@ -2,23 +2,30 @@
 // algorithm behind one interface, registered by name.
 //
 // An estimator is fitted once per experiment (the Bayesian algorithms'
-// "Step 1" / Probability Computation) and then queried through its
-// capabilities:
+// "Step 1" / Probability Computation) through one protocol —
+// begin_fit/consume/end_fit over the interval stream, chunk by chunk —
+// and then queried through its capabilities:
 //
 //   boolean_inference — per-interval congested-link sets (Fig. 3).
 //   link_estimation   — per-link congestion probabilities (Fig. 4).
-//   streaming         — the fit can consume the interval stream chunk
-//                       by chunk (begin_fit/consume/end_fit) instead of
-//                       a materialized experiment_data.
+//   windowed          — the sliding-window protocol of the online
+//                       service (begin_window/consume/retire/refit).
 //
-// Built-ins (canonical name / series label / capabilities):
+// Built-ins (canonical name / series label / capabilities / fit state):
 //
-//   sparsity        Sparsity          boolean, streaming        (Tomo/SCFS)
-//   bayes-indep     Bayes-Indep       boolean + link, streaming (CLINK)
-//   bayes-corr      Bayes-Corr        boolean + link            ([10])
-//   independence    Independence      link, streaming           (CLINK step 1)
-//   corr-heuristic  Corr-heuristic    link, streaming           (IMC'10 [9])
-//   corr-complete   Corr-complete     link                      (this paper)
+//   sparsity        Sparsity        boolean, windowed       -      (Tomo/SCFS)
+//   bayes-indep     Bayes-Indep     boolean+link, windowed  counts (CLINK)
+//   bayes-corr      Bayes-Corr      boolean+link            plane  ([10])
+//   independence    Independence    link, windowed          counts
+//   corr-heuristic  Corr-heuristic  link, windowed          counts (IMC'10)
+//   corr-complete   Corr-complete   link                    plane  (paper)
+//
+// Sparsity keeps no fit state. The counter-based fits ("counts") hold
+// O(#path-sets) state: their equation family is topology-determined.
+// The Algorithm 1 fits (bayes-corr, corr-complete) choose their
+// equations adaptively from the whole experiment, so they buffer the
+// path-major good-interval plane and run the selection in end_fit. Neither accepts probe-budget masked chunks
+// (the plane has no observed-path mask): consume() throws spec_error.
 //
 // evals.cpp drives any estimator list through this interface, so a new
 // algorithm becomes a registration, not a rewiring of the benches.
@@ -40,19 +47,11 @@ struct estimator_caps {
   bool boolean_inference = false;  ///< infer() per interval.
   bool link_estimation = false;    ///< links() after fit().
 
-  /// The fit can consume the interval stream chunk by chunk with
-  /// O(counters) state (begin_fit/consume/end_fit) instead of a
-  /// materialized experiment_data. True for fits whose equation family
-  /// is topology-determined (sparsity, the Independence family, the
-  /// flooded correlation heuristic); false for adaptive selections
-  /// (Algorithm 1 / corr-complete), which the drivers materialize for.
-  bool streaming = false;
-
-  /// The streaming fit also supports the sliding-window protocol
+  /// The fit also supports the sliding-window protocol
   /// (begin_window/consume/retire/refit): evidence can be retired as
   /// well as added, and refit() re-solves from the current window
   /// without ending the stream — the contract tomography_service
-  /// requires of its estimators. Implies `streaming`.
+  /// requires of its estimators.
   bool windowed = false;
 };
 
@@ -62,18 +61,20 @@ class estimator {
 
   [[nodiscard]] virtual estimator_caps caps() const noexcept = 0;
 
-  /// One-time model fitting over a finished experiment; must be called
-  /// before infer() / links(). The topology must outlive the estimator.
-  virtual void fit(const topology& t, const experiment_data& data) = 0;
+  /// The fit protocol, and the only way an estimator is fitted:
+  /// drivers call begin_fit once, consume per interval chunk in order,
+  /// end_fit once; afterwards the estimator answers infer() / links().
+  /// Any chunk granularity yields bit-identical outputs. The topology
+  /// must outlive the estimator.
+  virtual void begin_fit(const topology& t, std::size_t intervals) = 0;
+  virtual void consume(const measurement_chunk& chunk) = 0;
+  virtual void end_fit() = 0;
 
-  /// Streaming fit protocol — requires caps().streaming; the defaults
-  /// throw std::logic_error. Drivers call begin_fit once, consume per
-  /// interval chunk in order, end_fit once; afterwards the estimator is
-  /// fitted exactly as if fit() had seen the materialized experiment
-  /// (bit-identical outputs for the same seed).
-  virtual void begin_fit(const topology& t, std::size_t intervals);
-  virtual void consume(const measurement_chunk& chunk);
-  virtual void end_fit();
+  /// Fits over a finished experiment by replaying the store through
+  /// this estimator's own begin_fit/consume/end_fit
+  /// (replay_experiment) — a convenience for callers holding an
+  /// experiment_data, not a second fitting path.
+  virtual void fit(const topology& t, const experiment_data& data);
 
   /// Sliding-window fit protocol — requires caps().windowed; the
   /// defaults throw std::logic_error. begin_window opens an unbounded
@@ -106,9 +107,9 @@ class estimator {
   [[nodiscard]] virtual link_estimates links() const;
 };
 
-/// measurement_sink adapter driving an estimator's streaming fit from a
-/// simulation pass (usable inside a fanout_sink to fit many estimators
-/// in one pass).
+/// measurement_sink adapter driving an estimator's fit from one pass
+/// over the interval stream (usable inside a fanout_sink to fit many
+/// estimators in one pass).
 class estimator_fit_sink final : public measurement_sink {
  public:
   explicit estimator_fit_sink(estimator& est) : est_(&est) {}

@@ -28,10 +28,10 @@ struct estimator_eval_options {
 /// eagerly, so unknown names / bad options fail before any run starts.
 ///
 /// Sharding: a materialized run splits into one cell per estimator
-/// (fit + score are independent per estimator on the shared store), so
-/// a heavyweight estimator no longer serializes its run's siblings.
-/// Streamed runs stay one cell — their whole point is fitting every
-/// estimator from one replay pass. Either way the concatenated rows
+/// (each cell fits and scores its estimator by replaying the run's
+/// shared store), so a heavyweight estimator no longer serializes its
+/// run's siblings. Streamed runs stay one cell — their whole point is
+/// fitting every estimator from one simulation pass. Either way the concatenated rows
 /// equal the unsharded evaluation's rows exactly.
 class estimator_cells final : public cell_evaluator {
  public:

@@ -61,9 +61,9 @@ run_artifacts prepare_run(run_config config,
   run_artifacts run = prepare_topology(config, std::move(topo));
   if (run.source != nullptr && run.source->has_mask()) {
     // Masked replay cannot materialize — the columnar store has no
-    // observed-path plane. Leave `data` empty; evaluators consult
-    // source->has_mask() and fit/score streamed instead. A requested
-    // capture still records the masked stream here.
+    // observed-path plane. Leave `data` empty, so stream_experiment
+    // re-reads the source on every pass. A requested capture still
+    // records the masked stream here.
     std::unique_ptr<trace_writer> capture = make_capture_writer(config, run);
     if (capture != nullptr) stream_experiment(run, config, *capture);
     return run;
@@ -95,6 +95,11 @@ void stream_experiment(const run_artifacts& run, const run_config& config,
     policy = make_probe_policy(probe_policy_spec(config.plan.policy));
     masked = std::make_unique<probe_policy_sink>(*policy, sink);
     target = masked.get();
+  }
+  if (run.materialized()) {
+    replay_experiment(run.topo(), run.data, *target,
+                      config.stream.chunk_intervals);
+    return;
   }
   if (run.source != nullptr) {
     run.source->stream(*target, config.stream.chunk_intervals);

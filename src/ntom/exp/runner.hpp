@@ -7,14 +7,17 @@
 // through their registries, so new workloads register a factory instead
 // of rewiring this layer.
 //
-// Two execution modes share one reproducibility contract:
-//   * materialized (default) — prepare_run simulates into the columnar
-//     experiment_data store; estimators fit on the finished store.
-//   * streamed (`run_config::streamed`) — prepare_topology skips the
-//     simulation; drivers replay the deterministic interval stream
-//     through measurement_sinks (stream_experiment) as many passes as
-//     needed, holding O(chunk) memory. Same seed -> bit-identical
-//     results in either mode, at any chunk size.
+// Every driver reads a run's intervals one way — stream_experiment,
+// pass after pass, through measurement_sinks — and every estimator is
+// fitted by that stream. The one mode knob (`run_config::stream`)
+// decides only where the passes come from:
+//   * materialized (default) — prepare_run simulates once into the
+//     columnar experiment_data store; every later pass replays the
+//     store (replay_experiment) instead of re-simulating.
+//   * streamed (`stream.enabled`) — prepare_topology skips the
+//     simulation and every pass re-simulates (or re-reads a replayed
+//     dataset), holding O(chunk) memory.
+// Same seed -> bit-identical results in either mode, at any chunk size.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +39,12 @@ namespace ntom {
 /// mode instead of two loose fields. Mirrored by the facade's
 /// experiment::with_streaming builder.
 struct stream_options {
-  /// Streamed execution: the batch engine skips materialization and the
-  /// evaluators replay the interval stream chunk by chunk instead.
+  /// Streamed execution: the batch engine skips materialization, and
+  /// every pass re-simulates the interval stream instead of replaying
+  /// the store — O(chunk) memory per in-flight run.
   bool enabled = false;
 
-  /// Chunk granularity of the streamed mode (never changes results).
+  /// Chunk granularity of every pass (never changes results).
   std::size_t chunk_intervals = default_chunk_intervals;
 };
 
@@ -91,8 +95,7 @@ struct run_config {
   scenario_params scenario_opts;
   sim_params sim;
 
-  /// Execution-mode knob groups (formerly the flat streamed /
-  /// chunk_intervals / capture_path / capture_truth fields).
+  /// Execution-mode knob groups.
   stream_options stream;
   capture_options capture;
   plan_options plan;
@@ -117,7 +120,8 @@ struct run_config {
 };
 
 /// One simulated experiment with everything downstream needs. In
-/// streamed mode `data` stays empty — consumers replay the stream.
+/// streamed mode (and for masked replays) `data` stays empty; consumers
+/// read the run through stream_experiment either way.
 ///
 /// The topology is held through a shared_ptr so the grid scheduler's
 /// read-only topology cache can hand one generated instance to every
@@ -137,6 +141,13 @@ struct run_artifacts {
   std::shared_ptr<const measurement_source> source;
 
   [[nodiscard]] bool replayed() const noexcept { return source != nullptr; }
+
+  /// Whether prepare_run filled `data`; stream_experiment then replays
+  /// the store. (A zero-interval store replays to the same empty stream
+  /// a simulation would emit, so it needs no separate flag.)
+  [[nodiscard]] bool materialized() const noexcept {
+    return data.intervals != 0;
+  }
 
   /// Whether per-interval ground truth exists (always for simulated
   /// runs; for replays, only when the dataset stored the plane).
@@ -171,10 +182,12 @@ struct run_artifacts {
     run_config config, std::shared_ptr<const topology> topo = nullptr);
 
 /// Replays the deterministic interval stream of a prepared run into
-/// `sink`. Callable repeatedly: every pass re-simulates (or, for
-/// replayed runs, re-reads) the identical stream — compute traded for
-/// O(chunk) memory. When `config.plan.policy` is set, every pass
-/// constructs a fresh policy from the spec and masks the stream
+/// `sink` — the one way drivers read a run. Callable repeatedly: every
+/// pass replays the store of a materialized run, and otherwise
+/// re-simulates (or, for replayed runs, re-reads) the identical stream
+/// — compute traded for O(chunk) memory. When `config.plan.policy` is
+/// set, every pass constructs a fresh policy from the spec and masks
+/// the stream
 /// through a probe_policy_sink before `sink` sees it, so repeated
 /// passes observe the identical masked stream (policies are
 /// deterministic in (spec, chunk sequence)).
@@ -182,10 +195,11 @@ void stream_experiment(const run_artifacts& run, const run_config& config,
                        measurement_sink& sink);
 
 /// The capture sink of a run whose config requests one
-/// (run_config::capture_path), with provenance describing the config;
-/// nullptr otherwise. Owned by the caller, attached to whatever pass
-/// records the stream. A run without a real truth plane (truth-less
-/// replay) never records one, regardless of capture_truth — zeroed
+/// (run_config::capture), with provenance describing the config;
+/// nullptr otherwise. Owned by the caller, attached to exactly one pass:
+/// prepare_run's for non-streamed configs, the fit pass for streamed
+/// ones. A run without a real truth plane (truth-less
+/// replay) never records one, regardless of capture.truth — zeroed
 /// matrices must not masquerade as ground truth downstream.
 /// (trace_writer is forward-declared here to keep the trace dependency
 /// out of this header.)

@@ -11,6 +11,8 @@
 // is arbitrary.
 #pragma once
 
+#include <utility>
+
 #include "ntom/infer/bayes_map.hpp"
 #include "ntom/tomo/correlation_complete.hpp"
 
@@ -18,8 +20,16 @@ namespace ntom {
 
 class bayes_correlation_inferencer {
  public:
+  /// Runs Probability Computation on the experiment's observations.
   bayes_correlation_inferencer(const topology& t, const experiment_data& data,
                                const correlation_complete_params& params = {});
+
+  /// Adopts a precomputed step 1 — the estimator's fit path, where
+  /// Correlation-complete ran over the plane accumulated from the
+  /// interval stream.
+  bayes_correlation_inferencer(const topology& t,
+                               correlation_complete_result step1)
+      : topo_(&t), step1_(std::move(step1)) {}
 
   [[nodiscard]] bitvec infer(const bitvec& congested_paths) const;
 

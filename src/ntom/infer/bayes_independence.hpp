@@ -23,7 +23,7 @@ class bayes_independence_inferencer {
   bayes_independence_inferencer(const topology& t, const experiment_data& data,
                                 const independence_params& params = {});
 
-  /// Adopts a precomputed step 1 — the streaming fit path, where the
+  /// Adopts a precomputed step 1 — the estimator's fit path, where the
   /// Independence system was solved from online pathset counters.
   bayes_independence_inferencer(const topology& t, independence_result step1)
       : topo_(&t), step1_(std::move(step1)) {}

@@ -5,11 +5,11 @@
 // Two entry points share the splitting/merging machinery:
 //
 //   * make_partitioned_estimator — an `estimator` adapter holding one
-//     inner estimator per cell. fit()/begin_fit()+consume() split the
-//     observations by the cells' path columns (word-level row gathers of
-//     the chunk's path-major view, the way probe_policy_sink masks
-//     rows); infer() and links() lift the per-cell answers back through
-//     the cells' link ids. This is what run_config::part wires through
+//     inner estimator per cell. consume() splits each chunk by the
+//     cells' path columns (word-level row gathers of the chunk's
+//     path-major view, the way probe_policy_sink masks rows); infer()
+//     and links() lift the per-cell answers back through the cells'
+//     link ids. This is what run_config::part wires through
 //     the evals driver — partitioning becomes a config knob, not a new
 //     pipeline.
 //
@@ -62,11 +62,11 @@ struct partition_run_result {
   std::vector<link_estimates> cell_estimates;
 };
 
-/// cell_evaluator running `spec` once per plan cell. Materialized runs
-/// gather each cell's columns from the shared store; streamed runs
-/// replay the interval stream per cell through a splitting sink (O(cell)
+/// cell_evaluator running `spec` once per plan cell: each cell reads the
+/// run's interval stream (stream_experiment — a store replay for
+/// materialized runs) through a splitting sink, so a fit holds O(cell)
 /// estimator state — the >10^5-link mode where one monolithic fit would
-/// not fit). eval_cell emits no measurement rows; the product is the
+/// not fit. eval_cell emits no measurement rows; the product is the
 /// merged estimate, read with merged() after run_grid returns.
 ///
 /// The evaluator retains the state of the most recent run it prepared,

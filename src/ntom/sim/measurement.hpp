@@ -123,9 +123,9 @@ class measurement_source {
 
   /// Whether chunks may carry an observed-path mask (a probe-budget
   /// capture replayed from a masked .trc file). Masked streams cannot
-  /// be materialized — the columnar store has no mask plane — so runs
-  /// over a masked source must execute streamed; prepare_run/evals
-  /// consult this to force that.
+  /// be materialized — the columnar store has no mask plane — so
+  /// prepare_run consults this and leaves the store empty: every pass
+  /// over the run re-reads the source.
   [[nodiscard]] virtual bool has_mask() const { return false; }
 
   /// Replays the stream into `sink`. Callable repeatedly; every pass
@@ -136,7 +136,7 @@ class measurement_source {
 };
 
 /// Forwards one simulation pass to several consumers — the way to fit
-/// many streaming estimators (plus trackers) in a single pass.
+/// many estimators (plus trackers) in a single pass.
 class fanout_sink final : public measurement_sink {
  public:
   fanout_sink() = default;

@@ -76,8 +76,8 @@ class path_observations final : public measurement_sink {
 /// O(chunk)-memory streaming form of Probability Computation's measured
 /// quantities. The family must be chosen up front (the Independence and
 /// flooded-correlation equation sets are topology-determined, so their
-/// fits stream); adaptive selections (Algorithm 1) need the full matrix
-/// and stay on the materialized path.
+/// fits count); adaptive selections (Algorithm 1) need the full matrix,
+/// so their fits accumulate a path_observations instead.
 ///
 /// Two lifetimes:
 ///   * one-shot (default) — begin() fixes the experiment length, chunks

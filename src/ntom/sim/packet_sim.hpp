@@ -11,8 +11,10 @@
 // The simulator is a chunked stream: run_experiment_streaming emits
 // fixed-size interval chunks through a measurement_sink, and
 // run_experiment is merely the materializing consumer (materialize_sink)
-// of that stream. Both paths are bit-identical for the same seed at any
-// chunk size — the RNG stream advances per interval, never per chunk.
+// of that stream; replay_experiment is its inverse, re-emitting a
+// materialized store as the same stream. All of them are bit-identical
+// for the same seed at any chunk size — the RNG stream advances per
+// interval, never per chunk.
 #pragma once
 
 #include <cstdint>
@@ -82,8 +84,8 @@ struct experiment_data {
 
 /// The materializing consumer: builds experiment_data from the stream
 /// (chunk transpose + word-aligned column splice into the columnar
-/// store). run_experiment uses it; streaming drivers attach it only
-/// when a non-streaming estimator needs the full store.
+/// store). run_experiment and prepare_run use it; replay_experiment
+/// turns the store back into the stream.
 class materialize_sink final : public measurement_sink {
  public:
   explicit materialize_sink(experiment_data& out) : out_(&out) {}
@@ -102,6 +104,15 @@ void run_experiment_streaming(
     const topology& t, const congestion_model& model, const sim_params& params,
     measurement_sink& sink,
     std::size_t chunk_intervals = default_chunk_intervals);
+
+/// Replays a materialized store into `sink` as the interval stream it
+/// was built from, at any chunk granularity — the inverse of
+/// materialize_sink (materializing the replay reproduces `data` bit for
+/// bit). Stores never carry a probe-budget mask, so neither do the
+/// replayed chunks.
+void replay_experiment(const topology& t, const experiment_data& data,
+                       measurement_sink& sink,
+                       std::size_t chunk_intervals = default_chunk_intervals);
 
 /// Runs the full experiment materialized. Deterministic in params.seed.
 [[nodiscard]] experiment_data run_experiment(const topology& t,

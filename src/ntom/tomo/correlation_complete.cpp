@@ -8,9 +8,8 @@
 namespace ntom {
 
 correlation_complete_result compute_correlation_complete(
-    const topology& t, const experiment_data& data,
+    const topology& t, const path_observations& obs,
     const correlation_complete_params& params) {
-  const path_observations obs(data);
   const bitvec potcong =
       potentially_congested_links(t, obs.always_good_paths());
   subset_catalog catalog = subset_catalog::build(t, potcong, params.limits);
@@ -56,6 +55,12 @@ correlation_complete_result compute_correlation_complete(
                                           solution.identifiable.test(i));
   }
   return result;
+}
+
+correlation_complete_result compute_correlation_complete(
+    const topology& t, const experiment_data& data,
+    const correlation_complete_params& params) {
+  return compute_correlation_complete(t, path_observations(data), params);
 }
 
 }  // namespace ntom

@@ -37,7 +37,15 @@ struct correlation_complete_result {
   std::size_t added_equations = 0;  ///< from Algorithm 1 step 3.
 };
 
-/// Runs the full algorithm on a finished experiment.
+/// Runs the full algorithm over the experiment's path observations —
+/// a view of a finished store, or the plane a fit accumulated chunk by
+/// chunk (the estimators' path).
+[[nodiscard]] correlation_complete_result compute_correlation_complete(
+    const topology& t, const path_observations& obs,
+    const correlation_complete_params& params = {});
+
+/// Runs the full algorithm on a finished experiment (view mode over
+/// the store; forwards to the overload above).
 [[nodiscard]] correlation_complete_result compute_correlation_complete(
     const topology& t, const experiment_data& data,
     const correlation_complete_params& params = {});

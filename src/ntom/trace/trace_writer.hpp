@@ -1,7 +1,7 @@
 // trace_writer: capture the measurement stream to a .trc file.
 //
 // The writer is just another measurement_sink, so capture composes with
-// fanout_sink — one live pass can fit streaming estimators, feed the
+// fanout_sink — one live pass can fit estimators, feed the
 // materialized store, AND record the dataset. Each consumed chunk
 // becomes one v2 frame (plane sections with per-plane codec
 // negotiation — trace/codec.hpp); the reader re-chunks to any

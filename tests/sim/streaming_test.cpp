@@ -3,6 +3,8 @@
 // every chunk size — the ISSUE-3 reproducibility contract.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ntom/sim/monitor.hpp"
 #include "ntom/sim/packet_sim.hpp"
 #include "ntom/sim/scenario.hpp"
@@ -172,6 +174,71 @@ TEST(StreamingEquivalenceTest, CorrelatedScenariosBitIdenticalAtAnyChunk) {
           << name << " chunk " << chunk;
       EXPECT_EQ(streamed.ever_congested_links, reference.ever_congested_links)
           << name << " chunk " << chunk;
+    }
+  }
+}
+
+/// Records every chunk of one pass (the replay-equivalence witness).
+class chunk_recorder final : public measurement_sink {
+ public:
+  void begin(const topology&, std::size_t intervals) override {
+    intervals_ = intervals;
+  }
+  void consume(const measurement_chunk& chunk) override {
+    chunks_.push_back(chunk);
+  }
+
+  std::size_t intervals_ = 0;
+  std::vector<measurement_chunk> chunks_;
+};
+
+TEST(StreamingEquivalenceTest, StoreReplayRoundTripsAtAnyChunk) {
+  // replay_experiment is the inverse of materialize_sink: materializing
+  // the replay reproduces the store, and the replayed chunks equal the
+  // simulator's chunks at the same granularity.
+  brite_params bp;
+  bp.seed = 31;
+  const topology topo = generate_brite(bp);
+  scenario_params sp;
+  sp.seed = 13;
+  const congestion_model model = make_scenario(topo, "srlg", sp);
+  sim_params sim;
+  sim.intervals = 100;
+  sim.packets_per_path = 60;
+  sim.seed = 29;
+  const experiment_data store = run_experiment(topo, model, sim);
+  ASSERT_GT(topo.num_paths(), 64u);  // multi-word path rows.
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{64}, sim.intervals}) {
+    experiment_data round_trip;
+    materialize_sink sink(round_trip);
+    replay_experiment(topo, store, sink, chunk);
+    EXPECT_EQ(round_trip.intervals, store.intervals) << "chunk " << chunk;
+    EXPECT_TRUE(round_trip.path_good == store.path_good) << "chunk " << chunk;
+    EXPECT_TRUE(round_trip.true_links == store.true_links)
+        << "chunk " << chunk;
+    EXPECT_EQ(round_trip.always_good_paths, store.always_good_paths)
+        << "chunk " << chunk;
+    EXPECT_EQ(round_trip.ever_congested_links, store.ever_congested_links)
+        << "chunk " << chunk;
+
+    chunk_recorder simulated;
+    chunk_recorder replayed;
+    run_experiment_streaming(topo, model, sim, simulated, chunk);
+    replay_experiment(topo, store, replayed, chunk);
+    EXPECT_EQ(replayed.intervals_, simulated.intervals_);
+    ASSERT_EQ(replayed.chunks_.size(), simulated.chunks_.size());
+    for (std::size_t i = 0; i < replayed.chunks_.size(); ++i) {
+      const measurement_chunk& a = replayed.chunks_[i];
+      const measurement_chunk& b = simulated.chunks_[i];
+      EXPECT_EQ(a.first_interval, b.first_interval);
+      EXPECT_EQ(a.count, b.count);
+      EXPECT_TRUE(a.congested_paths == b.congested_paths)
+          << "chunk " << chunk << " #" << i;
+      EXPECT_TRUE(a.true_links == b.true_links)
+          << "chunk " << chunk << " #" << i;
+      EXPECT_TRUE(a.fully_observed());
     }
   }
 }

@@ -62,8 +62,8 @@ bool has_metric(const std::vector<measurement>& rows,
   return false;
 }
 
-// Mixes streaming (sparsity, independence) and store-needing
-// (bayes-corr) estimators so both fit paths run.
+// Mixes counter-based fits (sparsity, independence) with an Algorithm 1
+// fit (bayes-corr), which buffers the whole path plane.
 const std::vector<estimator_spec> kEstimators = {"sparsity", "independence",
                                                  "bayes-corr"};
 
@@ -98,8 +98,8 @@ TEST(TracePipelineTest, CapturedRunReplaysBitIdentically) {
 }
 
 TEST(TracePipelineTest, StreamedFitPassCaptures) {
-  // In streamed mode the capture rides the estimator fit pass
-  // (fit_streamed's fanout) — prepare never materializes.
+  // In streamed mode the capture rides the estimator fit pass —
+  // prepare never materializes.
   run_config config = base_config();
   config.stream.enabled = true;
   config.stream.chunk_intervals = 7;
