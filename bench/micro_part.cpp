@@ -155,7 +155,6 @@ int main(int argc, char** argv) {
   config.sim.seed = 19;
   config.sim.intervals = intervals;
   config.sim.packets_per_path = 40;
-  config.stream.enabled = true;
   config.stream.chunk_intervals = 32;
   config.reconcile();
   const run_artifacts run = prepare_topology(config);

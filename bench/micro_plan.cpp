@@ -117,9 +117,6 @@ int main(int argc, char** argv) {
     base.sim.seed = 57 + s;
     base.sim.intervals = intervals;
     base.sim.packets_per_path = 40;
-    base.stream.enabled = true;  // the unmasked reference streams too,
-                                 // so frac=1.0 comparisons are
-                                 // like-for-like at the same chunking.
     base.stream.chunk_intervals = chunk;
 
     const auto evaluate = [&](const std::string& policy) {

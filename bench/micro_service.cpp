@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
   config.sim.intervals = intervals;
   config.sim.packets_per_path = 40;
   config.sim.seed = 57;
-  config.stream.enabled = true;
   config.stream.chunk_intervals = chunk_size;
 
   const run_artifacts run = prepare_topology(config);

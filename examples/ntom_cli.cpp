@@ -20,15 +20,15 @@
 //            [--no-truth] [--imperfect="drop,p=0.05;..."]
 //            Simulate a monitoring run and record its measurement
 //            stream as a .trc dataset, O(chunk) memory at any T.
-//   replay   --file=run.trc [--estimators=SPECS] [--streamed]
+//   replay   --file=run.trc [--estimators=SPECS]
 //            [--chunk N] [--imperfect=...] [--policy=SPEC]
 //            [--partition=MODE] [--partition-max-links=N]
 //            Replay a captured dataset through the estimator pipeline:
 //            truth-aware Fig. 3 metrics when the trace carries the
 //            ground-truth plane, observation-only scoring otherwise.
 //            --policy masks the replayed stream with a probe-budget
-//            planner (forces streamed mode; counter-based estimators
-//            only — the Algorithm 1 fits reject masked chunks).
+//            planner (counter-based estimators only — the Algorithm 1
+//            fits reject masked chunks).
 //            --partition fits every estimator per partition cell
 //            (ntom/part) and merges the estimates at the cut links;
 //            MODE is components, bicomp, or auto (default none).
@@ -72,6 +72,7 @@
 
 #include "ntom/analysis/correlation_groups.hpp"
 #include "ntom/analysis/peer_report.hpp"
+#include "ntom/api/cli_common.hpp"
 #include "ntom/api/experiment.hpp"
 #include "ntom/exp/evals.hpp"
 #include "ntom/exp/report.hpp"
@@ -85,7 +86,6 @@
 #include "ntom/trace/import.hpp"
 #include "ntom/trace/trace_writer.hpp"
 #include "ntom/util/flags.hpp"
-#include "ntom/util/simd/simd.hpp"
 
 namespace {
 
@@ -103,7 +103,7 @@ int usage() {
                "  capture --scenario=SPEC --out=FILE [--topo=TOPOSPEC]\n"
                "          [--intervals N] [--seed N] [--packets N] [--oracle]\n"
                "          [--no-truth] [--imperfect=SPECS]\n"
-               "  replay  --file=FILE [--estimators=SPECS] [--streamed]\n"
+               "  replay  --file=FILE [--estimators=SPECS]\n"
                "          [--chunk N] [--imperfect=SPECS] [--policy=SPEC]\n"
                "          [--partition=none|components|bicomp|auto]\n"
                "          [--partition-max-links N]\n"
@@ -284,21 +284,11 @@ int cmd_replay(const ntom::flags& opts) {
   if (!imperfect.empty()) {
     config.scenario = config.scenario.with_option("imperfect", imperfect);
   }
-  config.stream.enabled = opts.get_bool("streamed", false);
   config.stream.chunk_intervals = static_cast<std::size_t>(opts.get_int(
       "chunk", static_cast<std::int64_t>(default_chunk_intervals)));
   config.plan.policy = opts.get_string("policy", "");
-  config.part.mode =
-      partition_mode_from_string(opts.get_string("partition", "none"));
-  config.part.max_cell_links = static_cast<std::size_t>(
-      opts.get_int("partition-max-links",
-                   static_cast<std::int64_t>(config.part.max_cell_links)));
-
-  // Reconcile before choosing the mode: a probe policy forces streamed
-  // execution (the materialized store has no mask plane).
-  config.reconcile();
-  const run_artifacts run =
-      config.stream.enabled ? prepare_topology(config) : prepare_run(config);
+  config.part = partition_flags(opts);
+  const run_artifacts run = prepare_run(config);
   std::printf("replaying %s: %zu intervals, %s, truth plane %s\n",
               file.c_str(), run.source->intervals(),
               run.topo().describe().c_str(),
@@ -384,7 +374,6 @@ int cmd_serve(const ntom::flags& opts) {
       config.sim.intervals =
           static_cast<std::size_t>(opts.get_int("intervals", 2000));
     }
-    config.stream.enabled = true;
     config.stream.chunk_intervals = static_cast<std::size_t>(opts.get_int(
         "chunk", static_cast<std::int64_t>(default_chunk_intervals)));
     config.plan.policy = opts.get_string("policy", "");
@@ -558,23 +547,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const ntom::flags opts(argc - 1, argv + 1);
-  if (opts.has("simd")) {
-    // Same semantics as NTOM_SIMD: force the kernel dispatch level for
-    // every verb; asking above the hardware warns and keeps detection.
-    namespace simd = ntom::simd;
-    const std::string name = opts.get_string("simd", "");
-    simd::level want{};
-    if (!simd::parse_level(name, want)) {
-      std::fprintf(stderr,
-                   "--simd=%s: unknown level (scalar|popcnt|avx2|avx512)\n",
-                   name.c_str());
-      return 2;
-    }
-    if (!simd::set_level(want)) {
-      std::fprintf(stderr, "--simd=%s exceeds this host; staying at %s\n",
-                   name.c_str(), simd::level_name(simd::active_level()));
-    }
-  }
+  if (!ntom::apply_simd_flag(opts)) return 2;
   try {
     if (command == "gen") return cmd_gen(opts);
     if (command == "dot") return cmd_dot(opts);

@@ -38,11 +38,12 @@
 //                               across the thread pool
 //
 // Probe-budget planning:
-//   --policy=SPEC               mask every run's measurement stream with
-//                               a probe policy ("uniform,frac=0.25",
-//                               "round_robin,frac=0.1", "info_gain,
-//                               frac=0.25,horizon=16"); forces streamed
-//                               execution, and the Algorithm 1
+//   --policy=SPEC               mask every pass over each run's stored
+//                               stream with a probe policy
+//                               ("uniform,frac=0.25", "round_robin,
+//                               frac=0.1", "info_gain,frac=0.25,
+//                               horizon=16"); --chunk=N sets where the
+//                               per-chunk masks fall. The Algorithm 1
 //                               estimators (bayes-corr, corr-complete)
 //                               reject masked streams. --list=policies
 //                               shows the registered planners.
@@ -61,7 +62,9 @@
 //
 // --simd=scalar|popcnt|avx2|avx512 forces the bit-kernel dispatch level
 // for the whole sweep (same as NTOM_SIMD; --list=simd shows the host's
-// detected ISA ladder).
+// detected ISA ladder). --no-topo-cache regenerates every run's topology
+// instead of sharing one per replica (an A/B knob; results never change).
+// An unknown flag is an error (exit 2).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -69,11 +72,11 @@
 #include <string>
 #include <vector>
 
+#include "ntom/api/cli_common.hpp"
 #include "ntom/api/experiment.hpp"
 #include "ntom/exp/report.hpp"
 #include "ntom/trace/trace_reader.hpp"
 #include "ntom/util/flags.hpp"
-#include "ntom/util/simd/simd.hpp"
 #include "ntom/util/thread_pool.hpp"
 
 namespace {
@@ -131,22 +134,16 @@ bool summaries_identical(const std::vector<ntom::metric_summary>& a,
 int main(int argc, char** argv) {
   using namespace ntom;
   const flags opts(argc, argv);
-  if (opts.has("simd")) {
-    // Same semantics as NTOM_SIMD: force the bit-kernel dispatch level
-    // for the whole sweep; asking above the hardware warns and keeps
-    // detection.
-    const std::string name = opts.get_string("simd", "");
-    simd::level want{};
-    if (!simd::parse_level(name, want)) {
-      std::fprintf(stderr,
-                   "--simd=%s: unknown level (scalar|popcnt|avx2|avx512)\n",
-                   name.c_str());
-      return 2;
-    }
-    if (!simd::set_level(want)) {
-      std::fprintf(stderr, "--simd=%s exceeds this host; staying at %s\n",
-                   name.c_str(), simd::level_name(simd::active_level()));
-    }
+  if (!reject_unknown_flags(
+          opts, {"simd", "list", "list-json", "scale", "seed", "intervals",
+                 "replicas", "threads", "check-determinism", "replay",
+                 "replay-shards", "topos", "scenarios", "estimators",
+                 "nonstationary", "phase-length", "fraction", "packets",
+                 "chunk", "policy", "partition", "partition-max-links",
+                 "no-topo-cache", "capture-dir", "capture-no-truth", "csv",
+                 "summary-csv", "json"}) ||
+      !apply_simd_flag(opts)) {
+    return 2;
   }
   if (opts.has("list") || opts.has("list-json")) {
     // Bare --list prints every registry; --list=scenarios (or
@@ -255,17 +252,10 @@ int main(int argc, char** argv) {
   exp.with_sim(sim);
   exp.replicas(replicas);
 
-  // Streamed execution: every pass re-simulates the interval stream in
-  // chunks instead of replaying a per-run materialized store
-  // (bit-identical results).
-  const bool streamed = opts.get_bool("streamed", false);
-  exp.with_streaming(
-      {streamed,
-       static_cast<std::size_t>(opts.get_int(
-           "chunk", static_cast<std::int64_t>(default_chunk_intervals)))});
+  exp.with_streaming({static_cast<std::size_t>(opts.get_int(
+      "chunk", static_cast<std::int64_t>(default_chunk_intervals)))});
 
-  // Probe-budget policy: masks every run's stream (forces streamed
-  // execution at reconcile time, whatever --streamed says).
+  // Probe-budget policy: masks every pass over each run's stream.
   const std::string policy = opts.get_string("policy", "");
   if (!policy.empty()) {
     try {
@@ -281,21 +271,14 @@ int main(int argc, char** argv) {
   // into cells and fit every estimator per cell (ntom/part).
   const std::string partition = opts.get_string("partition", "none");
   try {
-    partition_options part;
-    part.mode = partition_mode_from_string(partition);
-    part.max_cell_links = static_cast<std::size_t>(
-        opts.get_int("partition-max-links",
-                     static_cast<std::int64_t>(part.max_cell_links)));
-    exp.with_partitioning(part);
+    exp.with_partitioning(partition_flags(opts));
   } catch (const spec_error& err) {
     std::fprintf(stderr, "--partition: %s\n", err.what());
     return 2;
   }
 
-  // Grid-scheduler knobs (observability / A-B only — results never
-  // depend on them).
+  // Grid-scheduler knob (A/B only — results never depend on it).
   exp.cache_topologies(!opts.get_bool("no-topo-cache", false));
-  exp.shard_estimators(!opts.get_bool("no-shard", false));
 
   // Capture: record every run's stream to DIR while the sweep runs
   // (passive — aggregates are bit-identical with capture on).
@@ -320,7 +303,6 @@ int main(int argc, char** argv) {
             << specs.size() / (replicas == 0 ? 1 : replicas) << " grid cells x "
             << replicas << " replicas), T=" << intervals << ", seed=" << seed
             << ", threads=" << workers
-            << (streamed || !policy.empty() ? ", streamed" : ", materialized")
             << (policy.empty() ? "" : ", policy=" + policy)
             << (partition == "none" ? "" : ", partition=" + partition)
             << "\n\n";
@@ -450,21 +432,6 @@ int main(int argc, char** argv) {
             : 0.0,
         workers);
     if (!identical) return 1;
-    // With a policy the materialized mode cannot run at all (no mask
-    // plane in the store), so the cross-mode check only applies without.
-    if (streamed && policy.empty()) {
-      // The streamed mode is an execution strategy, not an estimator:
-      // prove it against the materialized path on the same seeds.
-      std::cout << "Streamed-vs-materialized check: re-running "
-                   "materialized...\n";
-      exp.with_streaming({false});
-      const batch_report materialized_report = exp.run(params);
-      const bool modes_match =
-          summaries_identical(cells, materialized_report.summarize());
-      std::printf("streamed aggregates %s materialized aggregates\n",
-                  modes_match ? "BIT-IDENTICAL to" : "DIFFER from (BUG)");
-      if (!modes_match) return 1;
-    }
   }
   return 0;
 }

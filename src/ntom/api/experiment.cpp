@@ -263,11 +263,6 @@ experiment& experiment::cache_topologies(bool on) {
   return *this;
 }
 
-experiment& experiment::shard_estimators(bool on) {
-  shard_estimators_ = on;
-  return *this;
-}
-
 std::vector<run_spec> experiment::specs() const {
   // Replicas aggregate by label on purpose; two *grid arms* sharing a
   // label would silently pool incomparable configurations instead.
@@ -332,7 +327,6 @@ batch_report experiment::run(const batch_params& params,
   const estimator_cells cells(estimators_, eval_options_);
   batch_params grid_params = params;
   if (cache_topologies_) grid_params.cache_topologies = *cache_topologies_;
-  if (shard_estimators_) grid_params.shard_estimators = *shard_estimators_;
   return run_grid(specs(), cells, grid_params, stats);
 }
 

@@ -83,19 +83,16 @@ class experiment {
   experiment& measure_boolean(bool on);
   experiment& measure_link_error(bool on);
 
-  /// Streamed execution, grouped (mirrors run_config::stream): every
-  /// pass over a run re-simulates the interval stream in fixed-size
-  /// chunks instead of replaying a materialized observation store —
-  /// O(chunk) memory per in-flight run, so T can reach 10^6 (the
-  /// Algorithm 1 estimators still hold their P x T path plane).
-  /// Bit-identical aggregates to the materialized mode for the same
-  /// seeds.
+  /// Stream knobs, grouped (mirrors run_config::stream): the chunk
+  /// size of every pass over a run's stored stream. Never changes
+  /// unmasked results; under a probe policy it decides where the
+  /// per-chunk masks fall.
   experiment& with_streaming(stream_options stream);
 
   /// Trace capture, grouped (mirrors run_config::capture, except
   /// `path` here names a DIRECTORY): captures every run's measurement
   /// stream to `<path>/<label>_<index>.trc` (trace/trace_writer riding
-  /// the run's simulation or fit pass — results are bit-identical with
+  /// one pass over the prepared run — results are bit-identical with
   /// capture on). The directory must exist. `truth` includes the
   /// ground-truth plane (disable to publish observation-only
   /// datasets). Replay the files with the `trace` scenario:
@@ -107,9 +104,10 @@ class experiment {
   /// "info_gain,...") masks every run's measurement stream before the
   /// estimators and scorers see it. Validated eagerly (throws
   /// spec_error). A per-arm scenario `policy='...'` option overrides
-  /// this grid-wide default at reconcile time. Policies force streamed
-  /// execution, and the Algorithm 1 estimators (bayes-corr,
-  /// corr-complete) reject masked chunks with spec_error. Empty clears.
+  /// this grid-wide default at reconcile time. The policy masks every
+  /// pass over the run's unmasked store, and the Algorithm 1 estimators
+  /// (bayes-corr, corr-complete) reject masked chunks with spec_error.
+  /// Empty clears.
   experiment& with_policy(std::string policy_spec);
 
   /// Partitioned hierarchical inference (mirrors run_config::part): the
@@ -122,15 +120,11 @@ class experiment {
   /// spec_error on a zero max_cell_links).
   experiment& with_partitioning(partition_options part);
 
-  /// Grid-scheduler knobs (override the batch_params defaults at run
-  /// time; results never depend on either):
-  ///   * cache_topologies — share one generated topology across the
-  ///     scenario arms of a replica (same spec + topo_seed).
-  ///   * shard_estimators — schedule per-estimator cells of a
-  ///     materialized run independently (work stealing balances a
-  ///     heavyweight estimator across workers).
+  /// Grid-scheduler knob (overrides batch_params::cache_topologies at
+  /// run time; results never depend on it): share one generated
+  /// topology across the scenario arms of a replica (same spec +
+  /// topo_seed).
   experiment& cache_topologies(bool on = true);
-  experiment& shard_estimators(bool on = true);
 
   /// The expanded grid: replicas x topologies x scenarios, labelled
   /// "<topology label>/<scenario label>", seed_group = replica.
@@ -167,7 +161,6 @@ class experiment {
   plan_options plan_;
   partition_options part_;
   std::optional<bool> cache_topologies_;
-  std::optional<bool> shard_estimators_;
 };
 
 }  // namespace ntom

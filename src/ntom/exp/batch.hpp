@@ -51,11 +51,6 @@ struct batch_params {
   /// results: the cached instance is the exact value regeneration
   /// would produce.
   bool cache_topologies = true;
-
-  /// Honor the evaluator's cell sharding (per-estimator cells for
-  /// estimator_cells). Disable to schedule whole runs, one cell each.
-  /// Never changes results: shard rows reassemble in shard order.
-  bool shard_estimators = true;
 };
 
 /// One named scalar produced by evaluating a run, e.g.

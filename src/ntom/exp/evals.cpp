@@ -1,5 +1,6 @@
 #include "ntom/exp/evals.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -7,7 +8,6 @@
 #include "ntom/corr/correlation.hpp"
 #include "ntom/part/hier_infer.hpp"
 #include "ntom/sim/monitor.hpp"
-#include "ntom/trace/trace_writer.hpp"
 
 namespace ntom {
 
@@ -49,14 +49,6 @@ fitted_run fit_estimators(
   }
   pathset_counter observation_tracker;
   fanout.add(&observation_tracker);
-
-  // A streamed run's fit pass is its first read of the stream, so a
-  // requested capture rides it (results are unchanged by it); any other
-  // run was captured on prepare_run's pass.
-  std::unique_ptr<trace_writer> capture =
-      config.stream.enabled ? make_capture_writer(config, run) : nullptr;
-  if (capture != nullptr) fanout.add(capture.get());
-
   stream_experiment(run, config, fanout);
   out.always_good_paths = observation_tracker.always_good_paths();
   return out;
@@ -231,21 +223,18 @@ estimator_cells::estimator_cells(std::vector<estimator_spec> estimators,
       options_(options) {}
 
 std::size_t estimator_cells::shards(const run_config& config) const {
-  // Streamed runs fit every estimator from one replay pass — splitting
-  // them would trade the shared pass for per-estimator replays.
-  if (config.stream.enabled || estimators_.empty()) return 1;
-  return estimators_.size();
+  (void)config;
+  return std::max<std::size_t>(estimators_.size(), 1);
 }
 
 std::shared_ptr<void> estimator_cells::make_run_state(
     const run_config& config, const run_artifacts& run) const {
   (void)run;
-  // Only materialized multi-cell runs can share; streamed runs are one
-  // cell and compute locally. Partitioned runs always share — the plan
-  // is worth computing once per run, not once per estimator shard.
-  if (config.stream.enabled ||
-      (!options_.link_error_metrics &&
-       config.part.mode == partition_mode::none)) {
+  // Link-error metrics share the run's truth across the estimator
+  // cells; partitioned runs share the plan — worth computing once per
+  // run, not once per estimator cell.
+  if (!options_.link_error_metrics &&
+      config.part.mode == partition_mode::none) {
     return nullptr;
   }
   return std::make_shared<shared_truth>();
@@ -254,7 +243,7 @@ std::shared_ptr<void> estimator_cells::make_run_state(
 std::vector<measurement> estimator_cells::eval_cell(
     const run_config& config, const run_artifacts& run, void* run_state,
     std::size_t shard) const {
-  if (config.stream.enabled || estimators_.empty()) return eval_all(config, run);
+  if (estimators_.empty()) return eval_all(config, run);
   return eval_estimators({estimators_[shard]}, {labels_[shard]}, options_,
                          config, run, static_cast<shared_truth*>(run_state));
 }

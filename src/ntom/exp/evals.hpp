@@ -27,11 +27,10 @@ struct estimator_eval_options {
 /// per estimator (series name = estimator_label). Specs are resolved
 /// eagerly, so unknown names / bad options fail before any run starts.
 ///
-/// Sharding: a materialized run splits into one cell per estimator
-/// (each cell fits and scores its estimator by replaying the run's
-/// shared store), so a heavyweight estimator no longer serializes its
-/// run's siblings. Streamed runs stay one cell — their whole point is
-/// fitting every estimator from one simulation pass. Either way the concatenated rows
+/// Sharding: every run splits into one cell per estimator (each cell
+/// fits and scores its estimator with its own passes over the run's
+/// store, masked by the run's policy when one is set), so a heavyweight
+/// estimator never serializes its run's siblings. The concatenated rows
 /// equal the unsharded evaluation's rows exactly.
 class estimator_cells final : public cell_evaluator {
  public:

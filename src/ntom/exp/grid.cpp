@@ -24,12 +24,8 @@ double seconds_since(clock::time_point start) {
 struct run_slot {
   std::size_t index = 0;
   std::string label;
-  run_config config;  ///< seeds derived; reconciliation stays internal
-                      ///  to prepare_* (the pre-grid eval contract).
-  std::size_t shards = 1;     ///< the evaluator's shard count.
-  std::size_t scheduled = 1;  ///< cells actually scheduled (1 when
-                              ///  sharding is disabled: the single cell
-                              ///  then evaluates every shard in order).
+  run_config config;  ///< seeds derived, reconciled.
+  std::size_t shards = 1;  ///< the evaluator's shard count.
   std::once_flag prepared;
   run_artifacts artifacts;
   std::shared_ptr<void> state;
@@ -93,15 +89,14 @@ batch_report run_grid(const std::vector<run_spec>& specs,
                        ? derive_run_seeds(specs[i].config, params.base_seed, i,
                                           topo_group)
                        : specs[i].config;
-    // Reconcile before inspecting stream.enabled below: a scenario
-    // `policy='...'` option forces streamed execution at reconcile
-    // time, and the mode decision must see that.
+    // Reconcile once up front: prepare_run reconciles only its own
+    // copy, but the evaluator's passes read this config too (e.g. a
+    // scenario `policy='...'` option lifted into plan.policy).
     slot->config.reconcile();
     slot->shards = std::max<std::size_t>(eval.shards(slot->config), 1);
-    slot->scheduled = params.shard_estimators ? slot->shards : 1;
     slot->rows.resize(slot->shards);
     slot->shard_seconds.assign(slot->shards, 0.0);
-    slot->remaining.store(slot->scheduled);
+    slot->remaining.store(slot->shards);
     slots.push_back(std::move(slot));
   }
 
@@ -111,7 +106,7 @@ batch_report run_grid(const std::vector<run_spec>& specs,
   };
   std::vector<cell> cells;
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    for (std::size_t s = 0; s < slots[i]->scheduled; ++s) {
+    for (std::size_t s = 0; s < slots[i]->shards; ++s) {
       cells.push_back({i, s});
     }
   }
@@ -125,8 +120,6 @@ batch_report run_grid(const std::vector<run_spec>& specs,
       if (!slot.failed.load()) {
         std::call_once(slot.prepared, [&] {
           const clock::time_point t0 = clock::now();
-          // Streamed runs never materialize here: the evaluator replays
-          // the deterministic interval stream itself, O(chunk) memory.
           // Source scenarios (trace replay) bring their own topology,
           // so generating one for the cache would be pure waste.
           std::shared_ptr<const topology> topo;
@@ -134,26 +127,16 @@ batch_report run_grid(const std::vector<run_spec>& specs,
               !scenario_is_source(slot.config.scenario)) {
             topo = cache.get(slot.config.topo, slot.config.topo_seed);
           }
-          slot.artifacts = slot.config.stream.enabled
-                               ? prepare_topology(slot.config, std::move(topo))
-                               : prepare_run(slot.config, std::move(topo));
+          slot.artifacts = prepare_run(slot.config, std::move(topo));
           slot.state = eval.make_run_state(slot.config, slot.artifacts);
           slot.prepare_seconds = seconds_since(t0);
         });
       }
       if (slot.failed.load()) return;
-      // A scheduled cell evaluates one shard — or every shard in order
-      // when sharding is disabled — so the reassembled rows are the
-      // same sequence either way.
-      const std::size_t first = c.shard;
-      const std::size_t last =
-          slot.scheduled == slot.shards ? c.shard : slot.shards - 1;
-      for (std::size_t s = first; s <= last; ++s) {
-        const clock::time_point t0 = clock::now();
-        slot.rows[s] =
-            eval.eval_cell(slot.config, slot.artifacts, slot.state.get(), s);
-        slot.shard_seconds[s] = seconds_since(t0);
-      }
+      const clock::time_point t0 = clock::now();
+      slot.rows[c.shard] = eval.eval_cell(slot.config, slot.artifacts,
+                                          slot.state.get(), c.shard);
+      slot.shard_seconds[c.shard] = seconds_since(t0);
       if (slot.remaining.fetch_sub(1) == 1) {
         run_result result;
         result.index = slot.index;

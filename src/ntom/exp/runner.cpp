@@ -23,12 +23,8 @@ void run_config::reconcile() {
   }
   if (!plan.policy.empty()) {
     // Eager validation: a bad policy spec fails at config time, not
-    // mid-pass. (make_probe_policy throws spec_error.) Capture composes
-    // with a policy — the writer stores the per-chunk observed-path
-    // mask plane (format v2) — but the materialized store has no mask
-    // plane, so policies imply streamed execution.
+    // mid-pass. (make_probe_policy throws spec_error.)
     (void)make_probe_policy(probe_policy_spec(plan.policy));
-    stream.enabled = true;
   }
   if (part.mode != partition_mode::none && part.max_cell_links == 0) {
     throw spec_error("run_config: part.max_cell_links must be positive");
@@ -59,27 +55,19 @@ run_artifacts prepare_run(run_config config,
                           std::shared_ptr<const topology> topo) {
   config.reconcile();
   run_artifacts run = prepare_topology(config, std::move(topo));
-  if (run.source != nullptr && run.source->has_mask()) {
-    // Masked replay cannot materialize — the columnar store has no
-    // observed-path plane. Leave `data` empty, so stream_experiment
-    // re-reads the source on every pass. A requested capture still
-    // records the masked stream here.
-    std::unique_ptr<trace_writer> capture = make_capture_writer(config, run);
-    if (capture != nullptr) stream_experiment(run, config, *capture);
-    return run;
-  }
-  // One pass fills the store; a requested capture rides the same pass
-  // through the fanout (so record + materialize never simulate twice).
-  materialize_sink store(run.data);
-  std::unique_ptr<trace_writer> capture = make_capture_writer(config, run);
-  if (capture == nullptr && run.source == nullptr) {
+  // Store the unmasked stream, unless the source is a masked .trc: the
+  // columnar store has no observed-path plane, so such a run re-reads
+  // its source on every pass.
+  if (run.source == nullptr) {
     run.data = run_experiment(run.topo(), run.model, config.sim);
-    return run;
+  } else if (!run.source->has_mask()) {
+    materialize_sink store(run.data);
+    run.source->stream(store, config.stream.chunk_intervals);
   }
-  fanout_sink fanout;
-  fanout.add(&store);
-  if (capture != nullptr) fanout.add(capture.get());
-  stream_experiment(run, config, fanout);
+  // A requested capture records one pass over the prepared run, masked
+  // by the policy when one is set.
+  std::unique_ptr<trace_writer> capture = make_capture_writer(config, run);
+  if (capture != nullptr) stream_experiment(run, config, *capture);
   return run;
 }
 

@@ -9,15 +9,18 @@
 //
 // Every driver reads a run's intervals one way — stream_experiment,
 // pass after pass, through measurement_sinks — and every estimator is
-// fitted by that stream. The one mode knob (`run_config::stream`)
-// decides only where the passes come from:
-//   * materialized (default) — prepare_run simulates once into the
-//     columnar experiment_data store; every later pass replays the
-//     store (replay_experiment) instead of re-simulating.
-//   * streamed (`stream.enabled`) — prepare_topology skips the
-//     simulation and every pass re-simulates (or re-reads a replayed
-//     dataset), holding O(chunk) memory.
-// Same seed -> bit-identical results in either mode, at any chunk size.
+// fitted by that stream. Where the passes come from depends only on how
+// the run was prepared:
+//   * prepare_run (every grid and evals run) stores the unmasked stream
+//     once in the columnar experiment_data store; every later pass
+//     replays the store (replay_experiment) instead of re-simulating.
+//     The one exception is a masked .trc source: the store has no mask
+//     plane, so its passes re-read the source.
+//   * prepare_topology (the O(chunk) library path: the service, capture,
+//     scale benches) stores nothing, and every pass re-simulates (or
+//     re-reads a replayed dataset), holding O(chunk) memory.
+// A probe policy masks each pass downstream of either source. Same seed
+// -> bit-identical results either way, at any chunk size.
 #pragma once
 
 #include <cstdint>
@@ -35,16 +38,11 @@
 
 namespace ntom {
 
-/// Streamed-execution knobs, grouped: one struct configures the whole
-/// mode instead of two loose fields. Mirrored by the facade's
+/// Stream knobs, grouped. Mirrored by the facade's
 /// experiment::with_streaming builder.
 struct stream_options {
-  /// Streamed execution: the batch engine skips materialization, and
-  /// every pass re-simulates the interval stream instead of replaying
-  /// the store — O(chunk) memory per in-flight run.
-  bool enabled = false;
-
-  /// Chunk granularity of every pass (never changes results).
+  /// Chunk granularity of every pass. Never changes unmasked results;
+  /// it decides where a probe policy's per-chunk masks fall.
   std::size_t chunk_intervals = default_chunk_intervals;
 };
 
@@ -55,8 +53,8 @@ struct plan_options {
   /// When non-empty, a probe_policy spec ("uniform,frac=0.25,seed=7",
   /// "round_robin,frac=0.1", "info_gain,frac=0.25,horizon=16") masks
   /// the measurement stream before estimators and scorers see it.
-  /// reconcile() validates the spec eagerly and forces streamed
-  /// execution — the materialized store has no mask plane.
+  /// reconcile() validates the spec eagerly; stream_experiment applies
+  /// it on every pass (the store itself stays unmasked).
   std::string policy;
 };
 
@@ -64,10 +62,10 @@ struct plan_options {
 /// experiment::with_capture builder (where `path` names the capture
 /// DIRECTORY and each run derives its own file under it).
 struct capture_options {
-  /// When non-empty, the run's measurement stream is also recorded to
-  /// this .trc file (trace/trace_writer) — during materialization for
-  /// the default mode, riding the estimator fit pass for the streamed
-  /// mode. Capture is passive: results are bit-identical with it on.
+  /// When non-empty, prepare_run also records the run's measurement
+  /// stream (masked by the policy, if any) to this .trc file
+  /// (trace/trace_writer) in one stream_experiment pass. Capture is
+  /// passive: results are bit-identical with it on.
   std::string path;
 
   /// Include the ground-truth plane in the capture (disable to publish
@@ -95,7 +93,7 @@ struct run_config {
   scenario_params scenario_opts;
   sim_params sim;
 
-  /// Execution-mode knob groups.
+  /// Knob groups.
   stream_options stream;
   capture_options capture;
   plan_options plan;
@@ -110,17 +108,15 @@ struct run_config {
 
   /// Overlays the scenario spec's options onto scenario_opts and
   /// pre-draws enough phases for sim.intervals. Also lifts a scenario
-  /// `policy='...'` option into `plan.policy` (the spec option wins),
-  /// validates the policy spec, and — when a policy is active — forces
-  /// streamed execution (the materialized store has no mask plane;
-  /// capture composes fine — the v2 format stores the mask).
+  /// `policy='...'` option into `plan.policy` (the spec option wins)
+  /// and validates the policy spec.
   /// Idempotent, and called by prepare_run itself — calling it manually
   /// is only needed to inspect the effective scenario_opts / plan.
   void reconcile();
 };
 
-/// One simulated experiment with everything downstream needs. In
-/// streamed mode (and for masked replays) `data` stays empty; consumers
+/// One simulated experiment with everything downstream needs. Runs from
+/// prepare_topology (and masked replays) leave `data` empty; consumers
 /// read the run through stream_experiment either way.
 ///
 /// The topology is held through a shared_ptr so the grid scheduler's
@@ -161,23 +157,26 @@ struct run_artifacts {
     return ground_truth(topo(), model, data.intervals);
   }
 
-  /// Streamed-mode variant: the experiment length cannot come from the
-  /// (empty) data, so the caller passes T explicitly.
+  /// Variant for runs without a store: the experiment length cannot
+  /// come from the (empty) data, so the caller passes T explicitly.
   [[nodiscard]] ground_truth make_truth(std::size_t intervals) const {
     return ground_truth(topo(), model, intervals);
   }
 };
 
-/// Builds the topology, the scenario, and runs the packet simulation.
-/// Reconciles the config first (idempotent), so callers never have to.
-/// A non-null `topo` (e.g. from the grid scheduler's topology_cache)
-/// skips generation — it must equal make_topology(config.topo,
-/// config.topo_seed) for the reproducibility contract to hold.
+/// Builds the topology and the scenario, stores the unmasked interval
+/// stream (every run except a masked .trc source, which cannot be
+/// stored), and records a requested capture with one stream_experiment
+/// pass over the prepared run. Reconciles the config first
+/// (idempotent), so callers never have to. A non-null `topo` (e.g. from
+/// the grid scheduler's topology_cache) skips generation — it must
+/// equal make_topology(config.topo, config.topo_seed) for the
+/// reproducibility contract to hold.
 [[nodiscard]] run_artifacts prepare_run(
     run_config config, std::shared_ptr<const topology> topo = nullptr);
 
 /// Builds topology and scenario only (reconciled), leaving `data`
-/// empty — the setup step of the streamed mode.
+/// empty: every pass then re-simulates, O(chunk) memory.
 [[nodiscard]] run_artifacts prepare_topology(
     run_config config, std::shared_ptr<const topology> topo = nullptr);
 
@@ -196,9 +195,9 @@ void stream_experiment(const run_artifacts& run, const run_config& config,
 
 /// The capture sink of a run whose config requests one
 /// (run_config::capture), with provenance describing the config;
-/// nullptr otherwise. Owned by the caller, attached to exactly one pass:
-/// prepare_run's for non-streamed configs, the fit pass for streamed
-/// ones. A run without a real truth plane (truth-less
+/// nullptr otherwise. Owned by the caller and attached to exactly one
+/// pass (prepare_run's capture pass, or a library caller's own pass over
+/// a prepare_topology run). A run without a real truth plane (truth-less
 /// replay) never records one, regardless of capture.truth — zeroed
 /// matrices must not masquerade as ground truth downstream.
 /// (trace_writer is forward-declared here to keep the trace dependency

@@ -64,7 +64,7 @@ struct partition_run_result {
 
 /// cell_evaluator running `spec` once per plan cell: each cell reads the
 /// run's interval stream (stream_experiment — a store replay for
-/// materialized runs) through a splitting sink, so a fit holds O(cell)
+/// stored runs) through a splitting sink, so a fit holds O(cell)
 /// estimator state — the >10^5-link mode where one monolithic fit would
 /// not fit. eval_cell emits no measurement rows; the product is the
 /// merged estimate, read with merged() after run_grid returns.

@@ -22,8 +22,8 @@
 // (mask stays empty), so a full budget is bit-identical to the unmasked
 // pipeline at ANY chunk size. Under a partial budget the masks are a
 // function of chunk boundaries, so results are bit-identical across
-// threads and passes at a FIXED chunk size (the streamed mode's
-// chunk_intervals), not across chunk sizes.
+// threads and passes at a FIXED chunk size
+// (run_config::stream.chunk_intervals), not across chunk sizes.
 #pragma once
 
 #include <cstddef>

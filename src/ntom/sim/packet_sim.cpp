@@ -20,7 +20,7 @@ void materialize_sink::consume(const measurement_chunk& chunk) {
     // the mask would let unprobed paths masquerade as "good".
     throw std::logic_error(
         "materialize_sink cannot store probe-budget masked chunks; "
-        "run policies in streamed mode");
+        "apply policies on the passes over the store (stream_experiment)");
   }
   out_->true_links.copy_rows_from(chunk.true_links, chunk.first_interval);
   // Chunk -> columnar store: transpose once, splice each path row into

@@ -157,10 +157,9 @@ TEST(ExperimentTest, DefaultsCoverTheFigThreeAlgorithms) {
 
 TEST(ExperimentTest, GroupedBuildersMirrorRunConfigGroups) {
   experiment exp = tiny_experiment();
-  exp.with_streaming({.enabled = true, .chunk_intervals = 96})
+  exp.with_streaming({.chunk_intervals = 96})
       .with_capture({.path = "runs/cap", .truth = false});
   for (const run_spec& spec : exp.specs()) {
-    EXPECT_TRUE(spec.config.stream.enabled);
     EXPECT_EQ(spec.config.stream.chunk_intervals, 96u);
     // The capture directory expands to one .trc per run.
     EXPECT_EQ(spec.config.capture.path.rfind("runs/cap/", 0), 0u)

@@ -1,7 +1,7 @@
-// Streamed estimator fits and the streamed batch mode must be
-// bit-identical to the materialized path for the same seeds, at every
-// chunk size — streaming is an execution strategy, never a different
-// estimator.
+// Estimator fits streamed from a live simulation (the O(chunk) library
+// path) must be bit-identical to the materialized store for the same
+// seeds, and grid results must not depend on the chunk size — streaming
+// is an execution strategy, never a different estimator.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -97,7 +97,6 @@ TEST(StreamedFitTest, StreamedFitsMatchMaterializedAtEveryChunk) {
 
     for (const std::size_t chunk : chunk_sizes) {
       run_config streamed_config = config;
-      streamed_config.stream.enabled = true;
       streamed_config.stream.chunk_intervals = chunk;
 
       const std::unique_ptr<estimator> streamed = make_estimator(name);
@@ -139,7 +138,7 @@ TEST(StreamedFitTest, AlgorithmOneFitsRejectMaskedChunks) {
 }
 
 TEST(StreamedBatchTest, FacadeReportsAreBitIdentical) {
-  const auto grid = [](bool streamed, std::size_t chunk) {
+  const auto grid = [](std::size_t chunk) {
     experiment e;
     e.with_topology("brite,n=10,hosts=30,paths=60")
         .with_scenario("random_congestion")
@@ -149,17 +148,17 @@ TEST(StreamedBatchTest, FacadeReportsAreBitIdentical) {
             {"sparsity", "independence", "bayes-corr", "corr-complete"})
         .replicas(2)
         .intervals(40)
-        .with_streaming({streamed, chunk});
+        .with_streaming({chunk});
     return e.run({.threads = 2, .base_seed = 77});
   };
 
-  const batch_report reference = grid(false, default_chunk_intervals);
+  const batch_report reference = grid(default_chunk_intervals);
   const auto ref_cells = reference.summarize();
   ASSERT_FALSE(ref_cells.empty());
 
   for (const std::size_t chunk : {1u, 7u, 64u}) {
-    const batch_report streamed = grid(true, chunk);
-    const auto cells = streamed.summarize();
+    const batch_report chunked = grid(chunk);
+    const auto cells = chunked.summarize();
     ASSERT_EQ(cells.size(), ref_cells.size()) << "chunk " << chunk;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       EXPECT_EQ(cells[i].label, ref_cells[i].label);

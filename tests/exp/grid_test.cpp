@@ -1,6 +1,7 @@
 // The sharded grid scheduler's contract: the topology cache reuses one
-// generated instance per (spec, topo_seed); sharding, caching, and
-// thread count never change a single aggregate bit.
+// generated instance per (spec, topo_seed); caching and thread count
+// never change a single aggregate bit, and every run splits into one
+// cell per estimator.
 #include "ntom/exp/grid.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 namespace ntom {
 namespace {
 
-experiment small_grid(bool streamed = false) {
+experiment small_grid() {
   experiment e;
   e.with_topology("brite,n=10,hosts=30,paths=60")
       .with_scenario("random_congestion")
@@ -21,8 +22,7 @@ experiment small_grid(bool streamed = false) {
       .with_scenario("gilbert")
       .with_estimators({"sparsity", "independence"})
       .replicas(2)
-      .intervals(30)
-      .with_streaming({streamed});
+      .intervals(30);
   return e;
 }
 
@@ -95,37 +95,24 @@ TEST(GridSchedulerTest, KnobsAndThreadsNeverChangeResults) {
   ASSERT_FALSE(reference.summarize().empty());
 
   for (const bool cache : {true, false}) {
-    for (const bool shard : {true, false}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        experiment e = small_grid();
-        e.cache_topologies(cache).shard_estimators(shard);
-        grid_stats stats;
-        const batch_report report = e.run({.threads = threads}, &stats);
-        expect_reports_identical(reference, report);
-        EXPECT_EQ(stats.runs, 6u);  // 3 scenarios x 2 replicas.
-        EXPECT_EQ(stats.cells, shard ? 12u : 6u);
-        if (cache) {
-          // One topology per replica; the scenario arms hit the cache.
-          EXPECT_EQ(stats.topo_cache_misses, 2u);
-          EXPECT_EQ(stats.topo_cache_hits, 4u);
-        } else {
-          EXPECT_EQ(stats.topo_cache_misses, 0u);
-          EXPECT_EQ(stats.topo_cache_hits, 0u);
-        }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      experiment e = small_grid();
+      e.cache_topologies(cache);
+      grid_stats stats;
+      const batch_report report = e.run({.threads = threads}, &stats);
+      expect_reports_identical(reference, report);
+      EXPECT_EQ(stats.runs, 6u);    // 3 scenarios x 2 replicas.
+      EXPECT_EQ(stats.cells, 12u);  // one cell per estimator.
+      if (cache) {
+        // One topology per replica; the scenario arms hit the cache.
+        EXPECT_EQ(stats.topo_cache_misses, 2u);
+        EXPECT_EQ(stats.topo_cache_hits, 4u);
+      } else {
+        EXPECT_EQ(stats.topo_cache_misses, 0u);
+        EXPECT_EQ(stats.topo_cache_hits, 0u);
       }
     }
   }
-}
-
-TEST(GridSchedulerTest, StreamedRunsStayOneCellAndMatch) {
-  const experiment materialized = small_grid(false);
-  const experiment streamed = small_grid(true);
-  grid_stats stats;
-  const batch_report a = materialized.run({.threads = 2});
-  const batch_report b = streamed.run({.threads = 2}, &stats);
-  // Streamed fits share one replay pass, so no estimator sharding.
-  EXPECT_EQ(stats.cells, stats.runs);
-  expect_reports_identical(a, b);
 }
 
 TEST(GridSchedulerTest, RunBatchRidesTheSchedulerUnchanged) {

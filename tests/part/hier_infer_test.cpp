@@ -303,10 +303,10 @@ TEST(PartitionCellsTest, EvaluatorMergedMatchesAdapter) {
   }
 }
 
-TEST(PartitionCellsTest, MaskedReplayMergesEquallyInBothModes) {
-  // A masked .trc replay cannot materialize (the store has no mask
-  // plane), so prepare_run leaves its store empty; the cells must read
-  // the source whether or not the config asks for streamed execution.
+TEST(PartitionCellsTest, MaskedReplayGridMatchesAdapter) {
+  // A masked .trc replay cannot be stored (the store has no mask plane),
+  // so prepare_run leaves its store empty and the grid's cells must read
+  // the source on every pass.
   const std::string path = ::testing::TempDir() + "/hier_masked.trc";
   run_config capture;
   capture.topo = "brite,n=10,hosts=30,paths=60";
@@ -316,33 +316,33 @@ TEST(PartitionCellsTest, MaskedReplayMergesEquallyInBothModes) {
   capture.sim.seed = 9;
   capture.plan.policy = "uniform,frac=0.5";
   capture.capture.path = path;
-  capture.reconcile();  // a policy forces streamed: the fit pass records.
-  (void)estimator_eval({"independence"})(capture, prepare_topology(capture));
+  (void)prepare_run(capture);  // records the masked capture.
 
-  const auto merged_with = [&](bool streamed) {
-    run_config replay;
-    replay.scenario = spec("trace").with_option("file", path);
-    replay.stream.enabled = streamed;
-    const run_artifacts probe = prepare_topology(replay);
-    auto plan = std::make_shared<const partition_plan>(make_partition(
-        probe.topo(), {.mode = partition_mode::bicomp, .max_cell_links = 8}));
-    EXPECT_GT(plan->cells.size(), 1u);
-    partition_cells cells(plan, "independence");
-    batch_params params;
-    params.threads = 1;
-    params.derive_seeds = false;
-    (void)run_grid({run_spec{"masked", replay}}, cells, params);
-    return cells.merged();
-  };
-  const link_estimates materialized = merged_with(false);
-  const link_estimates streamed = merged_with(true);
+  run_config replay;
+  replay.scenario = spec("trace").with_option("file", path);
+  const run_artifacts run = prepare_run(replay);
+  ASSERT_FALSE(run.materialized());
+  auto plan = std::make_shared<const partition_plan>(make_partition(
+      run.topo(), {.mode = partition_mode::bicomp, .max_cell_links = 8}));
+  EXPECT_GT(plan->cells.size(), 1u);
+  partition_cells cells(plan, "independence");
+  batch_params params;
+  params.threads = 1;
+  params.derive_seeds = false;
+  (void)run_grid({run_spec{"masked", replay}}, cells, params);
+  const link_estimates grid = cells.merged();
+
+  const auto adapter = make_partitioned_estimator("independence", plan);
+  estimator_fit_sink sink(*adapter);
+  stream_experiment(run, replay, sink);
+  const link_estimates direct = adapter->links();
   std::remove(path.c_str());
 
-  ASSERT_EQ(materialized.congestion.size(), streamed.congestion.size());
-  EXPECT_GT(streamed.estimated.count(), 0u);
-  EXPECT_EQ(materialized.estimated, streamed.estimated);
-  for (std::size_t e = 0; e < streamed.congestion.size(); ++e) {
-    EXPECT_EQ(materialized.congestion[e], streamed.congestion[e])  // bitwise.
+  ASSERT_EQ(grid.congestion.size(), direct.congestion.size());
+  EXPECT_GT(grid.estimated.count(), 0u);
+  EXPECT_EQ(grid.estimated, direct.estimated);
+  for (std::size_t e = 0; e < grid.congestion.size(); ++e) {
+    EXPECT_EQ(grid.congestion[e], direct.congestion[e])  // bitwise.
         << "link " << e;
   }
 }

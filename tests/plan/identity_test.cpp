@@ -59,7 +59,6 @@ TEST(FullBudgetIdentityTest, StreamedFitsMatchUnmaskedAtEveryChunk) {
         masked_config.plan.policy = policy;
         masked_config.stream.chunk_intervals = chunk;
         masked_config.reconcile();
-        EXPECT_TRUE(masked_config.stream.enabled);
 
         const std::unique_ptr<estimator> streamed = make_estimator(name);
         estimator_fit_sink sink(*streamed);
@@ -99,14 +98,12 @@ TEST(FullBudgetIdentityTest, FacadeReportsMatchUnmasked) {
         .with_estimators({"sparsity", "independence"})
         .replicas(2)
         .intervals(40);
-    if (!policy.empty()) {
-      e.with_policy(policy).with_streaming({true, chunk});
-    }
+    if (!policy.empty()) e.with_policy(policy).with_streaming({chunk});
     return e.run({.threads = 2, .base_seed = 77});
   };
 
-  // Unmasked AND materialized: frac=1.0 must match across both the
-  // masking and the execution strategy, at any chunk size.
+  // Unmasked at the default chunk: frac=1.0 must match at any chunk
+  // size.
   const auto ref_cells = grid("", 0).summarize();
   ASSERT_FALSE(ref_cells.empty());
 
@@ -193,7 +190,6 @@ TEST(ServiceIdentityTest, FullBudgetServiceMatchesUnmaskedService) {
   run_config config = small_config();
   config.sim.intervals = 200;
   config.stream.chunk_intervals = 25;
-  config.stream.enabled = true;
 
   const run_artifacts run = prepare_topology(config);
   chunk_collector unmasked;

@@ -337,16 +337,14 @@ TEST(MaskedScorerTest, EmptyMaskEqualsUnmaskedOverload) {
   EXPECT_EQ(a.observed_intervals, b.observed_intervals);
 }
 
-TEST(PolicyPlumbingTest, ReconcileLiftsValidatesAndForcesStreaming) {
+TEST(PolicyPlumbingTest, ReconcileLiftsAndValidatesPolicy) {
   run_config config;
   config.topo = "toy";
   config.scenario =
       spec("random_congestion").with_option("policy", "uniform,frac=0.5");
   config.sim.intervals = 10;
-  EXPECT_FALSE(config.stream.enabled);
   config.reconcile();
   EXPECT_EQ(config.plan.policy, "uniform,frac=0.5");
-  EXPECT_TRUE(config.stream.enabled);
 
   // The scenario spec's policy option wins over an explicit plan.policy.
   run_config overridden = config;
@@ -366,15 +364,15 @@ TEST(PolicyPlumbingTest, ReconcileLiftsValidatesAndForcesStreaming) {
   EXPECT_THROW(bad.reconcile(), spec_error);
 
   // Capture + policy composes since format v2 grew the observed-path
-  // mask plane: reconcile just forces streamed execution.
+  // mask plane.
   run_config capturing;
   capturing.topo = "toy";
   capturing.scenario = "random_congestion";
   capturing.sim.intervals = 10;
   capturing.plan.policy = "uniform,frac=0.5";
   capturing.capture.path = "masked.trc";
-  capturing.reconcile();
-  EXPECT_TRUE(capturing.stream.enabled);
+  EXPECT_NO_THROW(capturing.reconcile());
+  EXPECT_EQ(capturing.plan.policy, "uniform,frac=0.5");
 }
 
 TEST(PolicyPlumbingTest, MaterializeSinkRejectsMaskedChunks) {
@@ -403,7 +401,7 @@ TEST(PolicyPlumbingTest, EvalRejectsNonStreamingEstimatorsUnderPolicy) {
   config.reconcile();
   const run_artifacts run = prepare_topology(config);
 
-  // bayes-corr needs the materialized store, which has no mask plane.
+  // bayes-corr's Algorithm 1 fit rejects masked chunks.
   const batch_eval_fn eval =
       estimator_eval({"sparsity", "bayes-corr"},
                      {/*boolean_metrics=*/true, /*link_error_metrics=*/false});
@@ -414,6 +412,46 @@ TEST(PolicyPlumbingTest, EvalRejectsNonStreamingEstimatorsUnderPolicy) {
       estimator_eval({"sparsity", "bayes-indep"},
                      {/*boolean_metrics=*/true, /*link_error_metrics=*/false});
   EXPECT_FALSE(streaming_eval(config, run).empty());
+}
+
+TEST(PolicyPlumbingTest, ShardedPolicyGridMatchesLiveEvalAll) {
+  // The grid stores each run unmasked and masks every pass over the
+  // store; its per-estimator cells must reassemble to the rows of one
+  // whole-run evaluation on a live, re-simulated pass.
+  const estimator_cells cells(
+      {"sparsity", "bayes-indep", "independence"},
+      {.boolean_metrics = true, .link_error_metrics = true});
+  for (const char* policy : {"uniform,frac=0.5", "info_gain,frac=0.25"}) {
+    for (const std::size_t chunk : {7u, 64u}) {
+      run_config config;
+      config.topo = "brite,n=10,hosts=30,paths=60";
+      config.topo_seed = 3;
+      config.scenario = "no_independence";
+      config.scenario_opts.seed = 5;
+      config.sim.intervals = 90;
+      config.sim.seed = 11;
+      config.plan.policy = policy;
+      config.stream.chunk_intervals = chunk;
+
+      grid_stats stats;
+      const batch_report report =
+          run_grid({run_spec{"masked", config}}, cells,
+                   {.threads = 2, .derive_seeds = false}, &stats);
+      EXPECT_EQ(stats.cells, 3u);  // one cell per estimator.
+      ASSERT_EQ(report.runs().size(), 1u);
+      const std::vector<measurement>& grid = report.runs()[0].measurements;
+      const std::vector<measurement> live =
+          cells.eval_all(config, prepare_topology(config));
+      ASSERT_EQ(grid.size(), live.size()) << policy << " chunk " << chunk;
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_EQ(grid[i].series, live[i].series);
+        EXPECT_EQ(grid[i].metric, live[i].metric);
+        EXPECT_EQ(grid[i].value, live[i].value)  // bitwise.
+            << policy << " chunk " << chunk << " " << grid[i].series << "/"
+            << grid[i].metric;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -28,7 +28,6 @@ run_config drift_config(std::uint64_t epoch_seed) {
   config.sim.intervals = 1600;
   config.sim.packets_per_path = 40;
   config.sim.seed = 57 + epoch_seed;
-  config.stream.enabled = true;
   config.stream.chunk_intervals = 64;
   return config;
 }

@@ -22,7 +22,6 @@ run_config small_config(std::uint64_t scenario_seed = 7) {
   config.sim.intervals = 200;
   config.sim.packets_per_path = 50;
   config.sim.seed = scenario_seed + 2;
-  config.stream.enabled = true;
   config.stream.chunk_intervals = 50;
   return config;
 }

@@ -30,7 +30,6 @@ run_config base_config() {
   config.sim.intervals = 400;
   config.sim.packets_per_path = 50;
   config.sim.seed = 9;
-  config.stream.enabled = true;
   config.stream.chunk_intervals = 50;
   return config;
 }
@@ -131,7 +130,6 @@ TEST(WindowEquivalenceTest, ReplayIngestMatchesOneShot) {
   run_config replay_config;
   replay_config.scenario =
       spec("trace").with_option("file", capture_config.capture.path);
-  replay_config.stream.enabled = true;
   replay_config.stream.chunk_intervals = 37;  // not the capture chunking.
   const run_artifacts replay = prepare_topology(replay_config);
   ASSERT_TRUE(replay.replayed());

@@ -378,10 +378,9 @@ TEST(CorpusTest, MaskedCaptureReplaysBitIdenticallyAtEveryGranularity) {
         temp_path("masked_" + std::to_string(chunk) + ".trc");
     config.capture.path = path;
     config.reconcile();
-    ASSERT_TRUE(config.stream.enabled);
 
-    const run_artifacts live = prepare_topology(config);
-    const auto live_rows = eval(config, live);  // capture rides the fit pass.
+    const run_artifacts live = prepare_run(config);  // records the capture.
+    const auto live_rows = eval(config, live);
 
     const trace_reader reader(path);
     EXPECT_TRUE(reader.has_mask());

@@ -18,6 +18,7 @@
 #include "ntom/exp/evals.hpp"
 #include "ntom/trace/import.hpp"
 #include "ntom/trace/trace_reader.hpp"
+#include "ntom/trace/trace_writer.hpp"
 
 namespace ntom {
 namespace {
@@ -88,8 +89,7 @@ TEST(TracePipelineTest, CapturedRunReplaysBitIdentically) {
         << "replay chunk " << chunk;
 
     // Streamed replay too: the reader is the chunk source.
-    run_config streamed = replay;
-    streamed.stream.enabled = true;
+    const run_config streamed = replay;
     const run_artifacts streamed_run = prepare_topology(streamed);
     EXPECT_TRUE(rows_identical(live_rows, eval(streamed, streamed_run)))
         << "streamed replay chunk " << chunk;
@@ -97,25 +97,46 @@ TEST(TracePipelineTest, CapturedRunReplaysBitIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(TracePipelineTest, StreamedFitPassCaptures) {
-  // In streamed mode the capture rides the estimator fit pass —
-  // prepare never materializes.
-  run_config config = base_config();
-  config.stream.enabled = true;
-  config.stream.chunk_intervals = 7;
-  const std::string path = temp_path("pipeline_streamed.trc");
-  config.capture.path = path;
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
-  const batch_eval_fn eval = estimator_eval(
-      kEstimators, {.boolean_metrics = true, .link_error_metrics = false});
-  const run_artifacts live = prepare_topology(config);
-  const auto live_rows = eval(config, live);
+TEST(TracePipelineTest, PrepareRunCaptureMatchesLivePass) {
+  // prepare_run records its capture with one pass over the stored run;
+  // the file must equal, byte for byte, one written on a live
+  // prepare_topology pass (the O(chunk) library path), with and without
+  // a probe policy, and replay to the live rows.
+  for (const char* policy : {"", "uniform,frac=0.5"}) {
+    run_config config = base_config();
+    config.stream.chunk_intervals = 7;
+    config.plan.policy = policy;
+    const std::string stored_path = temp_path("pipeline_stored.trc");
+    const std::string live_path = temp_path("pipeline_live.trc");
+    config.capture.path = stored_path;
+    const run_artifacts stored = prepare_run(config);
 
-  run_config replay;
-  replay.scenario = trace_spec(path);
-  const run_artifacts replayed = prepare_run(replay);
-  EXPECT_TRUE(rows_identical(live_rows, eval(replay, replayed)));
-  std::remove(path.c_str());
+    run_config live_config = config;
+    live_config.capture.path = live_path;
+    const run_artifacts live = prepare_topology(live_config);
+    stream_experiment(live, live_config,
+                      *make_capture_writer(live_config, live));
+    EXPECT_EQ(file_bytes(stored_path), file_bytes(live_path))
+        << "policy '" << policy << "'";
+
+    const batch_eval_fn eval = estimator_eval(
+        {"sparsity", "independence"},
+        {.boolean_metrics = true, .link_error_metrics = false});
+    run_config replay;
+    replay.scenario = trace_spec(stored_path);
+    const run_artifacts replayed = prepare_run(replay);
+    EXPECT_TRUE(rows_identical(eval(config, live), eval(replay, replayed)))
+        << "policy '" << policy << "'";
+    std::remove(stored_path.c_str());
+    std::remove(live_path.c_str());
+  }
 }
 
 TEST(TracePipelineTest, CorpusRidesTheFacadeAndGrid) {
@@ -203,7 +224,6 @@ TEST(TracePipelineTest, TruthStrippedReplayScoresObservationOnly) {
 
   // Streamed scoring pass produces the same observation rows.
   run_config streamed = replay;
-  streamed.stream.enabled = true;
   streamed.stream.chunk_intervals = 13;
   const run_artifacts streamed_run = prepare_topology(streamed);
   EXPECT_TRUE(rows_identical(rows, eval(streamed, streamed_run)));
