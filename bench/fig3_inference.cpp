@@ -8,24 +8,23 @@
 //
 // 10% of links have a non-zero congestion probability (§3.2).
 // Every arm is a (topology spec, scenario spec) pair resolved through
-// the registries. Runs on the batched experiment engine: scenarios
-// (x --replicas seed replications) fan out across --threads workers with
-// per-run seeds derived from --seed and the run index, so results are
-// independent of the thread count. Run with --scale=paper for the
-// paper's dimensions (slower); default is a reduced-scale configuration
-// with the same qualitative shape. --csv=<path> dumps the per-run
-// series, --summary-csv=<path> the aggregated mean/stddev/percentiles,
-// --json[=<path>] a machine-readable BENCH_*.json summary.
+// the registries. Runs on the grid scheduler, one cell per algorithm:
+// scenarios (x --replicas seed replications) fan out across --threads
+// workers with per-run seeds derived from --seed and the run index, so
+// results are independent of the thread count. Run with --scale=paper
+// for the paper's dimensions (slower); default is a reduced-scale
+// configuration with the same qualitative shape. --csv=<path> dumps the
+// per-run series, --summary-csv=<path> the aggregated
+// mean/stddev/percentiles, --json[=<path>] a machine-readable
+// BENCH_*.json summary.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "ntom/exp/batch.hpp"
 #include "ntom/exp/evals.hpp"
 #include "ntom/exp/report.hpp"
-#include "ntom/exp/runner.hpp"
 #include "ntom/util/flags.hpp"
 #include "ntom/util/thread_pool.hpp"
 
@@ -71,16 +70,6 @@ std::vector<ntom::run_spec> make_specs(bool paper_scale, std::size_t intervals,
   return specs;
 }
 
-std::vector<ntom::measurement> evaluate(const ntom::run_config& config,
-                                        const ntom::run_artifacts& run) {
-  using namespace ntom;
-  std::fprintf(stderr, "[fig3] %s/%s: %s\n",
-               scenario_label(config.scenario).c_str(),
-               topology_label(config.topo).c_str(),
-               run.topo().describe().c_str());
-  return boolean_inference_eval(config, run);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,7 +95,9 @@ int main(int argc, char** argv) {
             << ", replicas=" << replicas
             << ", threads=" << thread_pool::resolve_threads(threads) << ")\n\n";
 
-  const batch_report report = run_batch(specs, evaluate, params);
+  const batch_report report = run_grid(
+      specs, estimator_cells({"sparsity", "bayes-indep", "bayes-corr"}),
+      params);
 
   const std::vector<std::string> algorithms = {"Sparsity", "Bayes-Indep",
                                                "Bayes-Corr"};

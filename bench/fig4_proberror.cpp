@@ -8,18 +8,16 @@
 //
 // The grid is pure specs: 2 topology specs x 3 scenario specs, the
 // estimators resolved by name through the estimator registry. Runs on
-// the batched experiment engine: the grid (x --replicas) fans out
-// across --threads workers with per-run seeds derived from --seed and
-// the run index. --json[=<path>] writes a BENCH_*.json summary.
+// the grid scheduler, one cell per estimator: the grid (x --replicas)
+// fans out across --threads workers with per-run seeds derived from
+// --seed and the run index. --json[=<path>] writes a BENCH_*.json summary.
 #include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "ntom/exp/batch.hpp"
 #include "ntom/exp/evals.hpp"
 #include "ntom/exp/report.hpp"
-#include "ntom/exp/runner.hpp"
 #include "ntom/util/flags.hpp"
 #include "ntom/util/thread_pool.hpp"
 
@@ -83,23 +81,14 @@ int main(int argc, char** argv) {
             << ", replicas=" << replicas
             << ", threads=" << thread_pool::resolve_threads(threads) << ")\n\n";
 
-  const batch_eval_fn eval = estimator_eval(
-      estimator_arms(), {.boolean_metrics = false, .link_error_metrics = true});
-  const batch_eval_fn logged_eval = [&eval](const run_config& config,
-                                            const run_artifacts& run) {
-    std::fprintf(stderr, "[fig4ab] %s/%s: %s\n",
-                 topology_label(config.topo).c_str(),
-                 scenario_label(config.scenario).c_str(),
-                 run.topo().describe().c_str());
-    return eval(config, run);
-  };
-
   batch_params params;
   params.threads = threads;
   params.base_seed = seed;
-  const batch_report report =
-      run_batch(make_specs(paper_scale, stationary, intervals, replicas),
-                logged_eval, params);
+  const batch_report report = run_grid(
+      make_specs(paper_scale, stationary, intervals, replicas),
+      estimator_cells(estimator_arms(),
+                      {.boolean_metrics = false, .link_error_metrics = true}),
+      params);
 
   std::vector<std::string> estimators;
   for (const estimator_spec& s : estimator_arms()) {

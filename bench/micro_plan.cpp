@@ -90,10 +90,7 @@ int main(int argc, char** argv) {
 
   // Small fixed grid: one topology, the scenario suite, two streaming
   // Boolean estimators. All seeds are pinned — the curves are exact.
-  const estimator_eval_options eval_options{/*boolean_metrics=*/true,
-                                            /*link_error_metrics=*/false};
-  const batch_eval_fn eval =
-      estimator_eval({"sparsity", "bayes-indep"}, eval_options);
+  const estimator_cells cells({"sparsity", "bayes-indep"});
   const std::vector<std::string> policies = {"uniform", "round_robin",
                                              "info_gain"};
 
@@ -123,9 +120,9 @@ int main(int argc, char** argv) {
       run_config config = base;
       config.plan.policy = policy;
       config.reconcile();
-      const run_artifacts run = prepare_topology(config, shared_topo);
+      const run_artifacts run = prepare_run(config, shared_topo);
       if (shared_topo == nullptr) shared_topo = run.topo_ptr;
-      return eval(config, run);
+      return cells.eval_all(config, run);
     };
 
     const std::vector<measurement> unmasked = evaluate("");

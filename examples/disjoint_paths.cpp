@@ -9,7 +9,7 @@
 // same interval, computed from the subset estimates, and compare with
 // the naive independence ranking.
 //
-// Run: ./examples/disjoint_paths [--seed S]
+// Run: ./examples/disjoint_paths [--seed=S]
 #include <algorithm>
 #include <cstdio>
 #include <optional>

@@ -8,7 +8,7 @@
 // attacked link. Probability Computation, asked a question at the right
 // time scale ("how often was this link congested?"), nails the 8%.
 //
-// Run: ./examples/failure_localization [--seed S]
+// Run: ./examples/failure_localization [--seed=S]
 #include <cstdio>
 
 #include "ntom/exp/metrics.hpp"

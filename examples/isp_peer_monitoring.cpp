@@ -9,7 +9,7 @@
 // are congested, ranked. No per-interval Boolean inference is needed
 // for any of this — the paper's point.
 //
-// Run: ./examples/isp_peer_monitoring [--intervals N] [--seed S]
+// Run: ./examples/isp_peer_monitoring [--intervals=N] [--seed=S]
 #include <algorithm>
 #include <cstdio>
 #include <iostream>

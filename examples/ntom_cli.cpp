@@ -1,27 +1,27 @@
 // ntom_cli — the operator's command-line front end.
 //
 // Subcommands:
-//   gen      --kind=TOPOSPEC --out=topo.txt [--seed N] [--paper]
+//   gen      --kind=TOPOSPEC --out=topo.txt [--seed=N] [--paper]
 //            Generate a topology from a registry spec ("brite,n=40",
 //            "sparse,stubs=300", ...) and save it in the ntom format.
 //   dot      --topo=topo.txt --out=topo.dot
 //            Export the AS-level structure as Graphviz DOT.
 //   monitor  --topo=topo.txt [--scenario=SCENARIOSPEC]
-//            [--intervals N] [--seed N] [--nonstationary]
-//            [--phase-length N] [--links-csv out.csv]
-//            [--subsets-csv out.csv]
+//            [--intervals=N] [--seed=N] [--nonstationary]
+//            [--phase-length=N] [--links-csv=out.csv]
+//            [--subsets-csv=out.csv]
 //            Simulate a monitoring experiment on the topology, run
 //            Correlation-complete, print the peer report and the
 //            discovered correlated groups, optionally dump CSVs.
 //   list     Print the registered topologies, scenarios, estimators,
 //            and imperfections with their option docs.
 //   capture  --scenario=SPEC --out=run.trc [--topo=TOPOSPEC]
-//            [--intervals N] [--seed N] [--packets N] [--oracle]
+//            [--intervals=N] [--seed=N] [--packets=N] [--oracle]
 //            [--no-truth] [--imperfect="drop,p=0.05;..."]
 //            Simulate a monitoring run and record its measurement
 //            stream as a .trc dataset, O(chunk) memory at any T.
 //   replay   --file=run.trc [--estimators=SPECS]
-//            [--chunk N] [--imperfect=...] [--policy=SPEC]
+//            [--chunk=N] [--imperfect=...] [--policy=SPEC]
 //            [--partition=MODE] [--partition-max-links=N]
 //            Replay a captured dataset through the estimator pipeline:
 //            truth-aware Fig. 3 metrics when the trace carries the
@@ -32,7 +32,7 @@
 //            --partition fits every estimator per partition cell
 //            (ntom/part) and merges the estimates at the cut links;
 //            MODE is components, bicomp, or auto (default none).
-//   import   --in=loss.txt --out=run.trc [--topo=FILE] [--threshold F]
+//   import   --in=loss.txt --out=run.trc [--topo=FILE] [--threshold=F]
 //            Convert an external per-path loss text trace
 //            (TopoConfluence-style ns-3 summaries) into a .trc dataset.
 //   corpus   stat  FILE|DIR ...      per-file codec and size report
@@ -42,15 +42,19 @@
 //            Corpus maintenance over .trc files; stat fully verifies
 //            each file (CRCs, structure, index agreement) on the way.
 //   serve    [--scenario=SPEC | --file=run.trc] [--topo=TOPOSPEC]
-//            [--intervals N] [--seed N] [--window W] [--chunk N]
-//            [--estimator=SPEC] [--refit-every N] [--epochs N]
-//            [--readers R] [--threshold F] [--policy=SPEC]
+//            [--intervals=N] [--seed=N] [--window=W] [--chunk=N]
+//            [--estimator=SPEC] [--refit-every=N] [--epochs=N]
+//            [--readers=R] [--threshold=F] [--policy=SPEC]
 //            Run the online tomography service: ingest the measurement
 //            stream (live simulation or .trc replay) through a
 //            sliding-window estimator while R reader threads query the
 //            published snapshots concurrently; each epoch re-begins on
 //            a fresh topology draw with the posterior carried over
 //            stable links.
+//
+// Flags are spelled --name=value; a bare --name is a boolean. Every verb
+// rejects a flag it does not read (exit 2), as does a non-numeric value
+// for a numeric flag.
 //
 // Example session:
 //   ./ntom_cli gen --kind=sparse,stubs=300 --out=/tmp/topo.txt
@@ -59,6 +63,7 @@
 //              --nonstationary --phase-length=25 --links-csv=/tmp/links.csv
 //   ./ntom_cli capture --scenario=srlg --out=/tmp/srlg.trc --intervals=2000
 //   ./ntom_cli replay --file=/tmp/srlg.trc --estimators=sparsity,bayes-indep
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -67,6 +72,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -94,27 +100,27 @@ int usage() {
                "usage: ntom_cli "
                "<gen|dot|monitor|capture|replay|import|corpus|serve|list> "
                "[--flags]\n"
-               "  gen     --kind=TOPOSPEC --out=FILE [--seed N] [--paper]\n"
+               "  gen     --kind=TOPOSPEC --out=FILE [--seed=N] [--paper]\n"
                "  dot     --topo=FILE --out=FILE\n"
                "  monitor --topo=FILE [--scenario=SCENARIOSPEC]\n"
-               "          [--intervals N] [--seed N] [--nonstationary]\n"
-               "          [--phase-length N]\n"
-               "          [--links-csv FILE] [--subsets-csv FILE]\n"
+               "          [--intervals=N] [--seed=N] [--nonstationary]\n"
+               "          [--phase-length=N]\n"
+               "          [--links-csv=FILE] [--subsets-csv=FILE]\n"
                "  capture --scenario=SPEC --out=FILE [--topo=TOPOSPEC]\n"
-               "          [--intervals N] [--seed N] [--packets N] [--oracle]\n"
+               "          [--intervals=N] [--seed=N] [--packets=N] [--oracle]\n"
                "          [--no-truth] [--imperfect=SPECS]\n"
                "  replay  --file=FILE [--estimators=SPECS]\n"
-               "          [--chunk N] [--imperfect=SPECS] [--policy=SPEC]\n"
+               "          [--chunk=N] [--imperfect=SPECS] [--policy=SPEC]\n"
                "          [--partition=none|components|bicomp|auto]\n"
-               "          [--partition-max-links N]\n"
-               "  import  --in=FILE --out=FILE [--topo=FILE] [--threshold F]\n"
+               "          [--partition-max-links=N]\n"
+               "  import  --in=FILE --out=FILE [--topo=FILE] [--threshold=F]\n"
                "  corpus  stat FILE|DIR... | merge --out=FILE A B... |\n"
                "          split --parts=N FILE | index DIR\n"
                "          [--no-compress] [--sync] on merge/split outputs\n"
                "  serve   [--scenario=SPEC | --file=FILE] [--topo=TOPOSPEC]\n"
-               "          [--intervals N] [--seed N] [--window W] [--chunk N]\n"
-               "          [--estimator=SPEC] [--refit-every N] [--epochs N]\n"
-               "          [--readers R] [--threshold F] [--policy=SPEC]\n"
+               "          [--intervals=N] [--seed=N] [--window=W] [--chunk=N]\n"
+               "          [--estimator=SPEC] [--refit-every=N] [--epochs=N]\n"
+               "          [--readers=R] [--threshold=F] [--policy=SPEC]\n"
                "  list    print registered components and option docs\n"
                "          (--json for the machine-readable catalog,\n"
                "           --what=SELECTOR to narrow either form)\n"
@@ -307,7 +313,7 @@ int cmd_replay(const ntom::flags& opts) {
     estimators.emplace_back(e);
   }
 
-  const auto rows = estimator_eval(estimators)(config, run);
+  const auto rows = estimator_cells(estimators).eval_all(config, run);
   table_printer table({"Estimator", "Metric", "Value"});
   for (const measurement& m : rows) {
     table.add_row({m.series, m.metric, format_fixed(m.value)});
@@ -545,22 +551,57 @@ int cmd_corpus(const ntom::flags& opts) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
+  // Each verb with the flags it reads; --simd is global. Any other flag
+  // is an error (exit 2), never silently ignored.
+  struct verb {
+    const char* name;
+    int (*run)(const ntom::flags&);
+    std::vector<std::string_view> flags;
+  };
+  const verb verbs[] = {
+      {"gen", cmd_gen, {"kind", "out", "seed", "paper"}},
+      {"dot", cmd_dot, {"topo", "out"}},
+      {"monitor",
+       cmd_monitor,
+       {"topo", "scenario", "intervals", "seed", "nonstationary",
+        "phase-length", "links-csv", "subsets-csv"}},
+      {"capture",
+       cmd_capture,
+       {"scenario", "out", "topo", "intervals", "seed", "packets", "oracle",
+        "no-truth", "imperfect"}},
+      {"replay",
+       cmd_replay,
+       {"file", "estimators", "chunk", "imperfect", "policy", "partition",
+        "partition-max-links"}},
+      {"import", cmd_import, {"in", "out", "topo", "threshold"}},
+      {"corpus", cmd_corpus, {"out", "parts", "no-compress", "sync"}},
+      {"serve",
+       cmd_serve,
+       {"scenario", "file", "topo", "intervals", "seed", "window", "chunk",
+        "estimator", "refit-every", "epochs", "readers", "threshold",
+        "policy"}},
+      {"list", cmd_list, {"json", "what"}},
+  };
   const std::string command = argv[1];
+  const verb* v =
+      std::find_if(std::begin(verbs), std::end(verbs),
+                   [&](const verb& x) { return command == x.name; });
+  if (v == std::end(verbs)) return usage();
   const ntom::flags opts(argc - 1, argv + 1);
-  if (!ntom::apply_simd_flag(opts)) return 2;
+  std::vector<std::string_view> known = v->flags;
+  known.push_back("simd");
+  if (!ntom::reject_unknown_flags(opts, known) ||
+      !ntom::apply_simd_flag(opts)) {
+    return 2;
+  }
   try {
-    if (command == "gen") return cmd_gen(opts);
-    if (command == "dot") return cmd_dot(opts);
-    if (command == "monitor") return cmd_monitor(opts);
-    if (command == "capture") return cmd_capture(opts);
-    if (command == "replay") return cmd_replay(opts);
-    if (command == "import") return cmd_import(opts);
-    if (command == "corpus") return cmd_corpus(opts);
-    if (command == "serve") return cmd_serve(opts);
-    if (command == "list") return cmd_list(opts);
+    return v->run(opts);
   } catch (const ntom::spec_error& err) {
     std::fprintf(stderr, "%s\n(run `ntom_cli list` for registered names)\n",
                  err.what());
+    return 2;
+  } catch (const ntom::flag_error& err) {
+    std::fprintf(stderr, "%s\n", err.what());
     return 2;
   } catch (const ntom::trace_error& err) {
     std::fprintf(stderr, "%s\n", err.what());
@@ -570,5 +611,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", err.what());
     return 1;
   }
-  return usage();
 }

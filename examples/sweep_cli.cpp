@@ -64,7 +64,8 @@
 // for the whole sweep (same as NTOM_SIMD; --list=simd shows the host's
 // detected ISA ladder). --no-topo-cache regenerates every run's topology
 // instead of sharing one per replica (an A/B knob; results never change).
-// An unknown flag is an error (exit 2).
+// An unknown flag, or a non-numeric value for a numeric flag, is an
+// error (exit 2).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -129,11 +130,8 @@ bool summaries_identical(const std::vector<ntom::metric_summary>& a,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int sweep(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   if (!reject_unknown_flags(
           opts, {"simd", "list", "list-json", "scale", "seed", "intervals",
                  "replicas", "threads", "check-determinism", "replay",
@@ -434,4 +432,15 @@ int main(int argc, char** argv) {
     if (!identical) return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return sweep(ntom::flags(argc, argv));
+  } catch (const ntom::flag_error& err) {
+    std::fprintf(stderr, "%s\n", err.what());
+    return 2;
+  }
 }

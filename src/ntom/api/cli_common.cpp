@@ -35,7 +35,7 @@ partition_options partition_flags(const flags& opts) {
 }
 
 bool reject_unknown_flags(const flags& opts,
-                          std::initializer_list<std::string_view> known) {
+                          const std::vector<std::string_view>& known) {
   for (const std::string& name : opts.names()) {
     if (std::find(known.begin(), known.end(), name) == known.end()) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());

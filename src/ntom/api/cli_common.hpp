@@ -3,8 +3,8 @@
 // report the same errors.
 #pragma once
 
-#include <initializer_list>
 #include <string_view>
+#include <vector>
 
 #include "ntom/part/partition.hpp"
 #include "ntom/util/flags.hpp"
@@ -26,6 +26,6 @@ namespace ntom {
 /// stderr and returns false, so a typo'd or retired flag fails instead
 /// of being silently ignored.
 [[nodiscard]] bool reject_unknown_flags(
-    const flags& opts, std::initializer_list<std::string_view> known);
+    const flags& opts, const std::vector<std::string_view>& known);
 
 }  // namespace ntom

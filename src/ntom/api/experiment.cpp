@@ -318,10 +318,6 @@ std::vector<run_spec> experiment::specs() const {
   return out;
 }
 
-batch_eval_fn experiment::eval() const {
-  return estimator_eval(estimators_, eval_options_);
-}
-
 batch_report experiment::run(const batch_params& params,
                              grid_stats* stats) const {
   const estimator_cells cells(estimators_, eval_options_);

@@ -16,7 +16,7 @@
 // Every replica runs all scenario arms on the same drawn topology
 // (seed_group = replica), per-run seeds derive from base_seed and the
 // run index, and the aggregates are bit-identical at any thread count —
-// the facade inherits run_batch's determinism guarantee unchanged.
+// the facade inherits run_grid's determinism guarantee unchanged.
 //
 // Spec strings resolve through the registries when they are added, so a
 // typo fails at build time of the grid, not mid-batch.
@@ -129,9 +129,6 @@ class experiment {
   /// The expanded grid: replicas x topologies x scenarios, labelled
   /// "<topology label>/<scenario label>", seed_group = replica.
   [[nodiscard]] std::vector<run_spec> specs() const;
-
-  /// The estimator evaluator over the configured estimator list.
-  [[nodiscard]] batch_eval_fn eval() const;
 
   /// Runs the grid on the work-stealing cell scheduler: specs() +
   /// estimator cells + run_grid. `stats` (optional) receives the

@@ -1,16 +1,16 @@
-// Parallel batched experiment engine.
+// The batch vocabulary of the experiment engine.
 //
-// A batch is a vector of run_configs (topology spec x scenario spec x
-// loss model x seed) fanned across a thread_pool. Each run's RNG seeds
-// are derived from the batch base seed and the run *index* — never from
-// scheduling order — so aggregated results are bit-identical at 1
-// thread and N threads. Per-run evaluation returns named scalar
-// measurements (series x metric), which batch_report aggregates into
-// mean / stddev / min / max / percentiles and exports as CSV.
+// A batch is a vector of run_specs (topology spec x scenario spec x
+// loss model x seed), executed by the grid scheduler (exp/grid.hpp).
+// Each run's RNG seeds are derived from the batch base seed and the run
+// *index* — never from scheduling order — so aggregated results are
+// bit-identical at 1 thread and N threads. Evaluating a run yields
+// named scalar measurements (series x metric), which batch_report
+// aggregates into mean / stddev / min / max / percentiles and exports
+// as CSV and JSON.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,12 +60,6 @@ struct measurement {
   std::string metric;
   double value = 0.0;
 };
-
-/// Evaluates one prepared run; called on a worker thread. Must be
-/// self-contained (no shared mutable state) and deterministic in the
-/// config's seeds.
-using batch_eval_fn = std::function<std::vector<measurement>(
-    const run_config& config, const run_artifacts& run)>;
 
 /// Outcome of one run of the batch.
 struct run_result {
@@ -124,7 +118,7 @@ class batch_report {
       const std::vector<std::pair<std::string, std::string>>& params = {})
       const;
 
-  /// Wall-clock of the whole batch (set by run_batch).
+  /// Wall-clock of the whole batch (set by run_grid).
   double total_seconds = 0.0;
 
  private:
@@ -144,13 +138,6 @@ class batch_report {
 [[nodiscard]] run_config derive_run_seeds(run_config config,
                                           std::uint64_t base_seed,
                                           std::size_t index);
-
-/// Runs every spec (prepare + eval) on the work-stealing grid scheduler
-/// (exp/grid.hpp; one cell per run) and returns the aggregated report.
-/// Exceptions thrown by eval propagate to the caller.
-[[nodiscard]] batch_report run_batch(const std::vector<run_spec>& specs,
-                                     const batch_eval_fn& eval,
-                                     const batch_params& params = {});
 
 /// Expands inference_metrics into the engine's measurement rows.
 [[nodiscard]] std::vector<measurement> inference_measurements(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -24,36 +25,6 @@ std::unique_ptr<estimator> make_run_estimator(
   return make_partitioned_estimator(s, plan);
 }
 
-/// The fitted estimators of one evaluation plus the run's always-good
-/// paths (the link-error metrics' potentially-congested input).
-struct fitted_run {
-  std::vector<std::unique_ptr<estimator>> estimators;
-  bitvec always_good_paths;
-};
-
-/// Fits every estimator from ONE pass over the run's interval stream
-/// (a store replay for materialized runs). A pathset_counter with an
-/// empty family tracks the always-good paths on the same pass.
-fitted_run fit_estimators(
-    const std::vector<estimator_spec>& specs, const run_config& config,
-    const run_artifacts& run,
-    const std::shared_ptr<const partition_plan>& plan) {
-  fitted_run out;
-  std::vector<estimator_fit_sink> fit_sinks;
-  fit_sinks.reserve(specs.size());
-  fanout_sink fanout;
-  for (const estimator_spec& s : specs) {
-    out.estimators.push_back(make_run_estimator(s, plan));
-    fit_sinks.emplace_back(*out.estimators.back());
-    fanout.add(&fit_sinks.back());
-  }
-  pathset_counter observation_tracker;
-  fanout.add(&observation_tracker);
-  stream_experiment(run, config, fanout);
-  out.always_good_paths = observation_tracker.always_good_paths();
-  return out;
-}
-
 /// Resolve eagerly: a typo'd estimator name fails here, not on a
 /// worker thread mid-batch. Series labels must be unique — duplicates
 /// would silently pool two configurations into one aggregate cell.
@@ -66,7 +37,7 @@ std::vector<std::string> validated_labels(
     std::string label = estimator_label(s);
     for (const std::string& seen : labels) {
       if (seen == label) {
-        throw spec_error("estimator_eval: two estimators share the series "
+        throw spec_error("estimator_cells: two estimators share the series "
                          "label '" +
                          label +
                          "' — add a label=... option to disambiguate");
@@ -77,139 +48,76 @@ std::vector<std::string> validated_labels(
   return labels;
 }
 
-/// Link-error inputs shared by every estimator cell of one run; both
-/// are pure functions of the run, so the once-initialization is only a
-/// compute saving, never a result change.
-struct shared_truth {
-  std::once_flag once;
-  std::optional<ground_truth> truth;
-  bitvec potcong;
-
-  /// The run's partition plan (run_config::part) — a pure function of
-  /// (topology, options), computed by whichever estimator cell needs it
-  /// first and shared by the siblings.
+/// Values shared by every estimator cell of one run; each is a pure
+/// function of the run, so the once-initialization is only a compute
+/// saving, never a result change.
+struct run_state {
+  /// The run's partition plan (run_config::part).
   std::once_flag plan_once;
   std::shared_ptr<const partition_plan> plan;
+
+  /// The link-error inputs: analytic ground truth and the potentially
+  /// congested links.
+  std::once_flag truth_once;
+  std::optional<ground_truth> truth;
+  bitvec potcong;
 };
 
-/// Fits and scores an estimator subset on one prepared run — the unit
-/// both the whole-run evaluation and the per-estimator cells share, so
-/// shard concatenation is the unsharded row sequence by construction.
-/// `shared` (nullable) carries the per-run shared_truth.
-std::vector<measurement> eval_estimators(
-    const std::vector<estimator_spec>& estimators,
-    const std::vector<std::string>& labels,
-    const estimator_eval_options& options, const run_config& config,
-    const run_artifacts& run, shared_truth* shared) {
-  std::shared_ptr<const partition_plan> plan;
+/// Fits and scores one estimator on one prepared run.
+std::vector<measurement> eval_estimator(const estimator_spec& spec,
+                                        const std::string& label,
+                                        const estimator_eval_options& options,
+                                        const run_config& config,
+                                        const run_artifacts& run,
+                                        run_state& shared) {
   if (config.part.mode != partition_mode::none) {
-    const auto compute_plan = [&] {
-      return std::make_shared<const partition_plan>(
+    std::call_once(shared.plan_once, [&] {
+      shared.plan = std::make_shared<const partition_plan>(
           make_partition(run.topo(), config.part));
-    };
-    if (shared != nullptr) {
-      std::call_once(shared->plan_once,
-                     [&] { shared->plan = compute_plan(); });
-      plan = shared->plan;
-    } else {
-      plan = compute_plan();
-    }
+    });
   }
-  const fitted_run fitted = fit_estimators(estimators, config, run, plan);
+  const std::unique_ptr<estimator> est = make_run_estimator(spec, shared.plan);
 
-  // Fig. 3 metrics per Boolean-capable estimator: one more pass scores
-  // every Boolean estimator with O(chunk) memory. A replayed dataset
-  // without a ground-truth plane scores observation-only instead (the
-  // truth matrices would be all-zero).
-  const bool truthless = !run.has_truth();
-  std::vector<std::optional<inference_metrics>> boolean_metrics(
-      fitted.estimators.size());
-  std::vector<std::optional<observation_metrics>> obs_metrics(
-      fitted.estimators.size());
-  std::vector<std::size_t> boolean_index;
-  if (options.boolean_metrics) {
-    for (std::size_t i = 0; i < fitted.estimators.size(); ++i) {
-      if (fitted.estimators[i]->caps().boolean_inference) {
-        boolean_index.push_back(i);
-      }
-    }
-  }
-  if (!boolean_index.empty()) {
-    std::vector<streaming_inference_scorer> truth_scorers;
-    std::vector<streaming_observation_scorer> obs_scorers;
-    truth_scorers.reserve(boolean_index.size());
-    obs_scorers.reserve(boolean_index.size());
-    fanout_sink fanout;
-    for (const std::size_t i : boolean_index) {
-      const estimator& est = *fitted.estimators[i];
-      auto infer = [&est](const bitvec& congested, const bitvec& observed) {
-        return est.infer(congested, observed);
-      };
-      if (truthless) {
-        obs_scorers.emplace_back(infer);
-        fanout.add(&obs_scorers.back());
-      } else {
-        truth_scorers.emplace_back(infer);
-        fanout.add(&truth_scorers.back());
-      }
-    }
-    stream_experiment(run, config, fanout);
-    for (std::size_t b = 0; b < boolean_index.size(); ++b) {
-      if (truthless) {
-        obs_metrics[boolean_index[b]] = obs_scorers[b].result();
-      } else {
-        boolean_metrics[boolean_index[b]] = truth_scorers[b].result();
-      }
-    }
-  }
+  // One fit pass; a pathset_counter with an empty family tracks the
+  // always-good paths (the link-error metric's input) on the same pass.
+  estimator_fit_sink fit(*est);
+  pathset_counter observation_tracker;
+  fanout_sink fit_pass({&fit, &observation_tracker});
+  stream_experiment(run, config, fit_pass);
 
-  // Ground truth and the potentially-congested set are shared by all
-  // link-error series; computed once, and only when needed — across
-  // the run's estimator cells when a shared_truth rides along.
-  std::optional<ground_truth> local_truth;
-  std::optional<bitvec> local_potcong;
-  const ground_truth* truth = nullptr;
-  const bitvec* potcong = nullptr;
-  const auto ensure_truth = [&] {
-    if (truth != nullptr) return;
-    if (shared != nullptr) {
-      std::call_once(shared->once, [&] {
-        shared->truth.emplace(run.make_truth(config.sim.intervals));
-        shared->potcong =
-            potentially_congested_links(run.topo(), fitted.always_good_paths);
-      });
-      truth = &*shared->truth;
-      potcong = &shared->potcong;
-      return;
-    }
-    local_truth.emplace(run.make_truth(config.sim.intervals));
-    local_potcong.emplace(
-        potentially_congested_links(run.topo(), fitted.always_good_paths));
-    truth = &*local_truth;
-    potcong = &*local_potcong;
-  };
-
+  // Fig. 3 metrics: one more pass scores the Boolean estimator with
+  // O(chunk) memory. A replayed dataset without a ground-truth plane
+  // scores observation-only instead (the truth matrices would be
+  // all-zero).
   std::vector<measurement> out;
-  for (std::size_t i = 0; i < fitted.estimators.size(); ++i) {
-    if (boolean_metrics[i]) {
-      const auto rows = inference_measurements(labels[i], *boolean_metrics[i]);
-      out.insert(out.end(), rows.begin(), rows.end());
+  if (options.boolean_metrics && est->caps().boolean_inference) {
+    auto infer = [&est](const bitvec& congested, const bitvec& observed) {
+      return est->infer(congested, observed);
+    };
+    if (run.has_truth()) {
+      streaming_inference_scorer scorer(infer);
+      stream_experiment(run, config, scorer);
+      out = inference_measurements(label, scorer.result());
+    } else {
+      streaming_observation_scorer scorer(infer);
+      stream_experiment(run, config, scorer);
+      out = observation_measurements(label, scorer.result());
     }
-    if (obs_metrics[i]) {
-      const auto rows = observation_measurements(labels[i], *obs_metrics[i]);
-      out.insert(out.end(), rows.begin(), rows.end());
-    }
-    // Link-error metrics need the analytic ground truth, which replayed
-    // runs do not have (the dataset records states, not the model).
-    if (options.link_error_metrics && !run.replayed() &&
-        fitted.estimators[i]->caps().link_estimation) {
-      ensure_truth();
-      out.push_back(
-          {labels[i], "mean_abs_error",
-           mean_of(link_absolute_errors(run.topo(), *truth,
-                                        fitted.estimators[i]->links(),
-                                        *potcong))});
-    }
+  }
+
+  // Link-error metrics need the analytic ground truth, which replayed
+  // runs do not have (the dataset records states, not the model).
+  if (options.link_error_metrics && !run.replayed() &&
+      est->caps().link_estimation) {
+    std::call_once(shared.truth_once, [&] {
+      shared.truth.emplace(run.make_truth(config.sim.intervals));
+      shared.potcong = potentially_congested_links(
+          run.topo(), observation_tracker.always_good_paths());
+    });
+    out.push_back({label, "mean_abs_error",
+                   mean_of(link_absolute_errors(run.topo(), *shared.truth,
+                                                est->links(),
+                                                shared.potcong))});
   }
   return out;
 }
@@ -229,45 +137,29 @@ std::size_t estimator_cells::shards(const run_config& config) const {
 
 std::shared_ptr<void> estimator_cells::make_run_state(
     const run_config& config, const run_artifacts& run) const {
+  (void)config;
   (void)run;
-  // Link-error metrics share the run's truth across the estimator
-  // cells; partitioned runs share the plan — worth computing once per
-  // run, not once per estimator cell.
-  if (!options_.link_error_metrics &&
-      config.part.mode == partition_mode::none) {
-    return nullptr;
-  }
-  return std::make_shared<shared_truth>();
+  return std::make_shared<run_state>();
 }
 
 std::vector<measurement> estimator_cells::eval_cell(
-    const run_config& config, const run_artifacts& run, void* run_state,
+    const run_config& config, const run_artifacts& run, void* state,
     std::size_t shard) const {
-  if (estimators_.empty()) return eval_all(config, run);
-  return eval_estimators({estimators_[shard]}, {labels_[shard]}, options_,
-                         config, run, static_cast<shared_truth*>(run_state));
+  if (estimators_.empty()) return {};
+  return eval_estimator(estimators_[shard], labels_[shard], options_, config,
+                        run, *static_cast<run_state*>(state));
 }
 
 std::vector<measurement> estimator_cells::eval_all(
     const run_config& config, const run_artifacts& run) const {
-  return eval_estimators(estimators_, labels_, options_, config, run, nullptr);
-}
-
-batch_eval_fn estimator_eval(std::vector<estimator_spec> estimators,
-                             estimator_eval_options options) {
-  auto cells =
-      std::make_shared<estimator_cells>(std::move(estimators), options);
-  return [cells](const run_config& config,
-                 const run_artifacts& run) -> std::vector<measurement> {
-    return cells->eval_all(config, run);
-  };
-}
-
-std::vector<measurement> boolean_inference_eval(const run_config& config,
-                                                const run_artifacts& run) {
-  static const batch_eval_fn eval =
-      estimator_eval({"sparsity", "bayes-indep", "bayes-corr"});
-  return eval(config, run);
+  const std::shared_ptr<void> state = make_run_state(config, run);
+  std::vector<measurement> out;
+  for (std::size_t shard = 0; shard < shards(config); ++shard) {
+    std::vector<measurement> rows = eval_cell(config, run, state.get(), shard);
+    out.insert(out.end(), std::make_move_iterator(rows.begin()),
+               std::make_move_iterator(rows.end()));
+  }
+  return out;
 }
 
 }  // namespace ntom

@@ -1,5 +1,6 @@
-// Registry-driven batch evaluators shared by the figure benches, the
-// sweep CLI, and the ntom::experiment facade.
+// The registry-driven estimator evaluator shared by the figure benches,
+// the sweep CLI, ntom_cli replay and the ntom::experiment facade: one
+// estimator per grid cell, the only unit a run is ever scored in.
 #pragma once
 
 #include <string>
@@ -11,7 +12,7 @@
 
 namespace ntom {
 
-/// Which measurement families estimator_eval emits per capable series.
+/// Which measurement families estimator_cells emits per capable series.
 struct estimator_eval_options {
   /// detection_rate / false_positive_rate rows for estimators with the
   /// boolean_inference capability (Fig. 3 metrics).
@@ -23,15 +24,17 @@ struct estimator_eval_options {
   bool link_error_metrics = false;
 };
 
-/// Cell evaluator over a spec'd estimator list: one measurement series
-/// per estimator (series name = estimator_label). Specs are resolved
-/// eagerly, so unknown names / bad options fail before any run starts.
+/// Cell evaluator over a spec'd estimator list: one cell and one
+/// measurement series per estimator (series name = estimator_label).
+/// Specs are resolved eagerly, so unknown names, bad options and
+/// duplicate series labels fail in the constructor, before any run
+/// starts.
 ///
-/// Sharding: every run splits into one cell per estimator (each cell
-/// fits and scores its estimator with its own passes over the run's
-/// store, masked by the run's policy when one is set), so a heavyweight
-/// estimator never serializes its run's siblings. The concatenated rows
-/// equal the unsharded evaluation's rows exactly.
+/// A cell fits its estimator with one pass over the run (masked by the
+/// run's policy when one is set), scores it with a second pass when the
+/// estimator has Boolean capability (observation-only when the run has
+/// no ground-truth plane), and reads its link-error row from the
+/// per-run state.
 class estimator_cells final : public cell_evaluator {
  public:
   explicit estimator_cells(std::vector<estimator_spec> estimators,
@@ -39,10 +42,10 @@ class estimator_cells final : public cell_evaluator {
 
   [[nodiscard]] std::size_t shards(const run_config& config) const override;
 
-  /// Per-run shared state for the link-error metrics: the analytic
-  /// ground truth and the potentially-congested set are pure functions
-  /// of the run, computed once by whichever cell needs them first
-  /// instead of once per estimator shard.
+  /// Per-run state shared by the run's estimator cells: the partition
+  /// plan, the analytic ground truth and the potentially-congested set.
+  /// All are pure functions of the run, computed once by whichever cell
+  /// needs them first instead of once per cell.
   [[nodiscard]] std::shared_ptr<void> make_run_state(
       const run_config& config, const run_artifacts& run) const override;
 
@@ -50,8 +53,8 @@ class estimator_cells final : public cell_evaluator {
       const run_config& config, const run_artifacts& run, void* run_state,
       std::size_t shard) const override;
 
-  /// The whole-run evaluation (all estimators, shard-free) — the body
-  /// of the batch_eval_fn returned by estimator_eval.
+  /// Every cell of one run, in shard order, sharing one run state: the
+  /// rows the grid assembles for the run.
   [[nodiscard]] std::vector<measurement> eval_all(
       const run_config& config, const run_artifacts& run) const;
 
@@ -60,19 +63,5 @@ class estimator_cells final : public cell_evaluator {
   std::vector<std::string> labels_;
   estimator_eval_options options_;
 };
-
-/// Builds a batch_eval_fn that fits every spec'd estimator on the
-/// prepared run and emits one measurement series per estimator (series
-/// name = estimator_label). Specs are resolved eagerly, so unknown
-/// names / bad options fail before any run starts.
-[[nodiscard]] batch_eval_fn estimator_eval(
-    std::vector<estimator_spec> estimators,
-    estimator_eval_options options = {});
-
-/// Fig. 3 evaluator: the three Boolean Inference algorithms as series
-/// "Sparsity", "Bayes-Indep", "Bayes-Corr". Equivalent to
-/// estimator_eval({"sparsity", "bayes-indep", "bayes-corr"}).
-[[nodiscard]] std::vector<measurement> boolean_inference_eval(
-    const run_config& config, const run_artifacts& run);
 
 }  // namespace ntom

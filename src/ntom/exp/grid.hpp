@@ -2,19 +2,19 @@
 // (topology x scenario x estimator x replica) cells, sharing one
 // read-only topology per (spec, topo_seed) group.
 //
-// run_batch's per-run loop rides on this scheduler (one cell per run);
-// cell-granular evaluators (estimator_cells in exp/evals.hpp) split a
-// run into per-estimator cells so a heavyweight estimator never
-// serializes the rest of its run behind one worker.
+// It is the only batch executor. Evaluators split each run into cells
+// (estimator_cells in exp/evals.hpp: one cell per estimator), so a
+// heavyweight estimator never serializes the rest of its run behind
+// one worker.
 //
 // Determinism contract (inherited from PR 1, unchanged): per-run RNG
 // seeds derive from (base_seed, run index) before any scheduling
 // happens, cells of a run reassemble their measurement rows in shard
 // order, and the report sorts runs by index — so the aggregates are
-// bit-identical at 1 thread and N threads, sharded or not, cached or
-// not. The topology cache only skips *regenerating* a topology that an
-// identical (spec, topo_seed) key already produced; the cached instance
-// is the value make_topology would have returned.
+// bit-identical at 1 thread and N threads, cached or not. The topology
+// cache only skips *regenerating* a topology that an identical
+// (spec, topo_seed) key already produced; the cached instance is the
+// value make_topology would have returned.
 #pragma once
 
 #include <atomic>
@@ -73,8 +73,8 @@ struct grid_stats {
 /// prepares the run (topology via the cache, scenario, simulation, the
 /// optional run state); sibling cells share the prepared artifacts
 /// read-only. eval_cell must be self-contained and deterministic in the
-/// config's seeds, and the concatenation of its rows over shards
-/// 0..shards()-1 must equal the rows an unsharded evaluation would emit.
+/// config's seeds; the run's rows are its rows over shards
+/// 0..shards()-1, concatenated in shard order.
 class cell_evaluator {
  public:
   virtual ~cell_evaluator() = default;

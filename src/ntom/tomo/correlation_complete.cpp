@@ -49,8 +49,10 @@ correlation_complete_result compute_correlation_complete(
   result.residual_norm = solution.residual_norm;
 
   for (std::size_t i = 0; i < solution.x.size(); ++i) {
-    // x_i = log g(E_i); identifiability per the solved system's null
-    // space (authoritative over Algorithm 1's incrementally-updated N).
+    // x_i = log g(E_i). Identifiability comes from the null space the
+    // solve computes anyway for its minimum-norm projection. Algorithm
+    // 1's incremental N spans the same space, but projecting with that
+    // basis instead would change the solution's bits.
     result.estimates.set_good_probability(i, std::exp(solution.x[i]),
                                           solution.identifiable.test(i));
   }

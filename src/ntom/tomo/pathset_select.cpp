@@ -245,7 +245,6 @@ pathset_selection select_path_sets(const topology& t,
   }
 
   out.null_space = std::move(nsp);
-  out.identifiable = identifiable_coordinates(out.null_space);
   return out;
 }
 

@@ -56,7 +56,6 @@ struct pathset_selection {
   std::vector<bitvec> path_sets;                ///< Pˆ, over paths.
   std::vector<std::vector<std::size_t>> rows;   ///< sparse rows, aligned.
   matrix null_space;                            ///< final N (n1 x nullity).
-  bitvec identifiable;                          ///< per catalog subset.
   std::size_t seed_equations = 0;               ///< |Pˆ| after step 1.
   std::size_t added_equations = 0;              ///< appended in step 3.
 };

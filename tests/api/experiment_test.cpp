@@ -58,10 +58,10 @@ TEST(ExperimentTest, DuplicateGridLabelsThrow) {
 }
 
 TEST(ExperimentTest, DuplicateEstimatorSeriesThrow) {
-  EXPECT_THROW((void)estimator_eval({"corr-complete",
-                                     "corr-complete,min_all_good=5"}),
+  EXPECT_THROW((void)estimator_cells({"corr-complete",
+                                "corr-complete,min_all_good=5"}),
                spec_error);
-  EXPECT_NO_THROW((void)estimator_eval(
+  EXPECT_NO_THROW((void)estimator_cells(
       {"corr-complete", "corr-complete,min_all_good=5,label=Strict"}));
 }
 
@@ -105,33 +105,6 @@ TEST(ExperimentTest, EmitsSeriesPerEstimatorCapability) {
   EXPECT_FALSE(has_cell("Sparsity", "mean_abs_error"));
   EXPECT_TRUE(has_cell("Corr-complete", "mean_abs_error"));
   EXPECT_FALSE(has_cell("Corr-complete", "detection_rate"));
-}
-
-TEST(ExperimentTest, LegacyBooleanEvalMatchesEstimatorEval) {
-  // boolean_inference_eval is now a registry-driven series list; its
-  // measurements must be identical to the explicit spec form.
-  run_config c;
-  c.topo = "brite,n=8,routers=3,hosts=20,paths=30";
-  c.topo_seed = 3;
-  c.sim.intervals = 20;
-  c.sim.packets_per_path = 30;
-  const run_artifacts run = prepare_run(c);
-
-  const auto legacy = boolean_inference_eval(c, run);
-  const auto explicit_eval =
-      estimator_eval({"sparsity", "bayes-indep", "bayes-corr"},
-                     {.boolean_metrics = true, .link_error_metrics = false});
-  const auto manual = explicit_eval(c, run);
-  ASSERT_EQ(legacy.size(), manual.size());
-  ASSERT_EQ(legacy.size(), 6u);  // 3 series x (detection, false-positive).
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].series, manual[i].series);
-    EXPECT_EQ(legacy[i].metric, manual[i].metric);
-    EXPECT_EQ(legacy[i].value, manual[i].value);  // bitwise.
-  }
-  EXPECT_EQ(legacy[0].series, "Sparsity");
-  EXPECT_EQ(legacy[2].series, "Bayes-Indep");
-  EXPECT_EQ(legacy[4].series, "Bayes-Corr");
 }
 
 TEST(ExperimentTest, DefaultsCoverTheFigThreeAlgorithms) {

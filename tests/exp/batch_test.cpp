@@ -4,7 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
+
+#include "ntom/exp/grid.hpp"
 
 namespace ntom {
 namespace {
@@ -17,13 +20,29 @@ run_config tiny_config() {
   return c;
 }
 
+/// One cell per run, its rows computed from the prepared run by `fn`.
+class run_cells final : public cell_evaluator {
+ public:
+  using row_fn = std::function<std::vector<measurement>(const run_artifacts&)>;
+  explicit run_cells(row_fn fn) : fn_(std::move(fn)) {}
+
+  [[nodiscard]] std::vector<measurement> eval_cell(
+      const run_config&, const run_artifacts& run, void* /*run_state*/,
+      std::size_t /*shard*/) const override {
+    return fn_(run);
+  }
+
+ private:
+  row_fn fn_;
+};
+
 /// Cheap deterministic eval: statistics of the simulated data itself.
-std::vector<measurement> count_eval(const run_config&,
-                                    const run_artifacts& run) {
+const run_cells count_eval([](const run_artifacts& run) {
   const double congested = static_cast<double>(run.data.true_links.count());
-  return {{"sim", "congested_link_intervals", congested},
-          {"sim", "paths", static_cast<double>(run.topo().num_paths())}};
-}
+  return std::vector<measurement>{
+      {"sim", "congested_link_intervals", congested},
+      {"sim", "paths", static_cast<double>(run.topo().num_paths())}};
+});
 
 std::vector<run_spec> tiny_specs(std::size_t count) {
   std::vector<run_spec> specs;
@@ -66,13 +85,12 @@ TEST(BatchRunnerTest, SeedGroupGivesArmsTheSameTopology) {
   specs[1].seed_group = 0;
   batch_params params;
   params.threads = 1;
-  const batch_report r = run_batch(
-      specs,
-      [](const run_config&, const run_artifacts& run) {
+  const batch_report r = run_grid(
+      specs, run_cells([](const run_artifacts& run) {
         return std::vector<measurement>{
             {"sim", "links", static_cast<double>(run.topo().num_links())},
             {"sim", "paths", static_cast<double>(run.topo().num_paths())}};
-      },
+      }),
       params);
   EXPECT_EQ(r.runs()[0].measurements[0].value,
             r.runs()[1].measurements[0].value);
@@ -87,8 +105,8 @@ TEST(BatchRunnerTest, AggregatesAreBitIdenticalAcrossThreadCounts) {
   batch_params parallel;
   parallel.threads = 4;
 
-  const batch_report a = run_batch(specs, count_eval, serial);
-  const batch_report b = run_batch(specs, count_eval, parallel);
+  const batch_report a = run_grid(specs, count_eval, serial);
+  const batch_report b = run_grid(specs, count_eval, parallel);
 
   ASSERT_EQ(a.runs().size(), specs.size());
   ASSERT_EQ(b.runs().size(), specs.size());
@@ -121,7 +139,7 @@ TEST(BatchRunnerTest, DeriveSeedsOffRunsConfigVerbatim) {
   batch_params params;
   params.threads = 1;
   params.derive_seeds = false;
-  const batch_report r = run_batch(specs, count_eval, params);
+  const batch_report r = run_grid(specs, count_eval, params);
   // Same config + same seed => identical simulated data.
   EXPECT_EQ(r.runs()[0].measurements[0].value,
             r.runs()[1].measurements[0].value);

@@ -115,12 +115,15 @@ TEST(GridSchedulerTest, KnobsAndThreadsNeverChangeResults) {
   }
 }
 
-TEST(GridSchedulerTest, RunBatchRidesTheSchedulerUnchanged) {
+TEST(GridSchedulerTest, FacadeRunIsRunGridOverEstimatorCells) {
   const experiment exp = small_grid();
-  const batch_report via_grid = exp.run({.threads = 4});
-  const batch_report via_batch =
-      run_batch(exp.specs(), exp.eval(), {.threads = 4});
-  expect_reports_identical(via_grid, via_batch);
+  const batch_report via_facade = exp.run({.threads = 4});
+  const batch_report via_grid = run_grid(
+      exp.specs(),
+      estimator_cells({"sparsity", "independence"},
+                      {.boolean_metrics = true, .link_error_metrics = true}),
+      {.threads = 4});
+  expect_reports_identical(via_facade, via_grid);
 }
 
 TEST(GridSchedulerTest, EvalExceptionsPropagate) {

@@ -402,22 +402,18 @@ TEST(PolicyPlumbingTest, EvalRejectsNonStreamingEstimatorsUnderPolicy) {
   const run_artifacts run = prepare_topology(config);
 
   // bayes-corr's Algorithm 1 fit rejects masked chunks.
-  const batch_eval_fn eval =
-      estimator_eval({"sparsity", "bayes-corr"},
-                     {/*boolean_metrics=*/true, /*link_error_metrics=*/false});
-  EXPECT_THROW((void)eval(config, run), spec_error);
+  const estimator_cells cells({"sparsity", "bayes-corr"});
+  EXPECT_THROW((void)cells.eval_all(config, run), spec_error);
 
   // The streaming-only subset works under the same config.
-  const batch_eval_fn streaming_eval =
-      estimator_eval({"sparsity", "bayes-indep"},
-                     {/*boolean_metrics=*/true, /*link_error_metrics=*/false});
-  EXPECT_FALSE(streaming_eval(config, run).empty());
+  const estimator_cells streaming_cells({"sparsity", "bayes-indep"});
+  EXPECT_FALSE(streaming_cells.eval_all(config, run).empty());
 }
 
 TEST(PolicyPlumbingTest, ShardedPolicyGridMatchesLiveEvalAll) {
   // The grid stores each run unmasked and masks every pass over the
-  // store; its per-estimator cells must reassemble to the rows of one
-  // whole-run evaluation on a live, re-simulated pass.
+  // store; its per-estimator cells must reassemble to the rows eval_all
+  // gives on a live, re-simulated run.
   const estimator_cells cells(
       {"sparsity", "bayes-indep", "independence"},
       {.boolean_metrics = true, .link_error_metrics = true});

@@ -11,6 +11,7 @@
 
 #include "../support/golden_digest.hpp"
 #include "ntom/corr/correlation.hpp"
+#include "ntom/linalg/nullspace.hpp"
 #include "ntom/sim/monitor.hpp"
 #include "ntom/sim/packet_sim.hpp"
 #include "ntom/sim/scenario.hpp"
@@ -81,7 +82,7 @@ void expect_selection(const fixture& f, const selection_golden& want) {
   for (const bitvec& p : sel.path_sets) path_sets.add(p);
   for (const auto& r : sel.rows) rows.add(r);
   null_space.add(sel.null_space);
-  identifiable.add(sel.identifiable);
+  identifiable.add(identifiable_coordinates(sel.null_space));
 
   EXPECT_EQ(sel.seed_equations, want.seed_equations);
   EXPECT_EQ(sel.added_equations, want.added_equations);

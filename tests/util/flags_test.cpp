@@ -17,9 +17,27 @@ TEST(FlagsTest, EqualsSyntax) {
   EXPECT_EQ(f.get_int("seed", 0), 99);
 }
 
-TEST(FlagsTest, SpaceSyntax) {
-  const auto f = make({"--seed", "17"});
-  EXPECT_EQ(f.get_int("seed", 0), 17);
+TEST(FlagsTest, BareBooleanKeepsTheNextPositionals) {
+  const auto f = make({"--out=m.trc", "--no-compress", "a.trc", "b.trc"});
+  EXPECT_TRUE(f.get_bool("no-compress", false));
+  ASSERT_EQ(f.positional().size(), 2u);
+  EXPECT_EQ(f.positional()[0], "a.trc");
+  EXPECT_EQ(f.positional()[1], "b.trc");
+}
+
+TEST(FlagsTest, NonNumericValueThrows) {
+  // A stale space-separated `--seed 5` parses as a bare flag ("true").
+  const auto f = make({"--seed", "5", "--frac=0.5x", "--n=", "--x=12"});
+  EXPECT_THROW((void)f.get_int("seed", 0), flag_error);
+  EXPECT_THROW((void)f.get_double("frac", 0.0), flag_error);
+  EXPECT_THROW((void)f.get_int("n", 0), flag_error);
+  EXPECT_EQ(f.get_int("x", 0), 12);
+  EXPECT_DOUBLE_EQ(f.get_double("x", 0.0), 12.0);
+  try {
+    (void)f.get_int("seed", 0);
+  } catch (const flag_error& err) {
+    EXPECT_NE(std::string(err.what()).find("--seed"), std::string::npos);
+  }
 }
 
 TEST(FlagsTest, BareFlagIsTrue) {
